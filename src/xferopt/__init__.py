@@ -45,7 +45,6 @@ from .optimizer import (
     optimize_rwa,
     optimize_with_leakage,
     sweep_final_time,
-    worker_count,
 )
 from .pulse import (
     HALF_PI,
@@ -74,7 +73,7 @@ __all__ = [
     "solve_markovian_profile",
     "FidelityEstimate", "OracleConfig", "ShapeRatioReport", "shape_ratio_check", "simulate_transfer",
     "OptimizationProblem", "OptimizationResult", "SweepRecord", "optimize_rwa",
-    "optimize_with_leakage", "sweep_final_time", "worker_count",
+    "optimize_with_leakage", "sweep_final_time",
     "HALF_PI", "EnergyBudget", "Pulse", "PulseCsvError", "control_amplitude", "fastest_pulse",
     "make_pulse", "pulse_energy", "read_pulse_csv", "scale_pulse", "write_pulse_csv",
     "__version__",

@@ -4,7 +4,6 @@ Configuration comes from an optional JSON file with flat dotted keys
 (``bath.gamma``, ``control.energy``, ``optimizer.leak_weight``, ...);
 command-line flags override file values.  All outputs are plain CSV or
 fixed-format text, so reruns with the same inputs are byte-identical.
-The ``XFEROPT_THREADS`` environment variable caps worker counts.
 """
 
 from __future__ import annotations

@@ -6,8 +6,13 @@ coupled by the same control amplitude ``V(t)`` as the transfer:
 
     H = omega_0 * sz + V(t) * sx,    sz = |ee><ee| - |gg><gg|.
 
-Propagation is exact per constant-amplitude segment (closed-form 2x2
-rotations), so the leakage observable carries no time-step error.  The
+Propagation is exact per constant-amplitude segment (closed-form SU(2)
+rotations, :func:`segment_rotation`), so the leakage observable carries no
+time-step error.  The prefix products of the segment rotations come from one
+vectorised scan in ceil(log2 N) steps; :func:`propagate_even` reads states
+off them, and :func:`leakage_value_grad` combines them with the closed-form
+derivative of each rotation into the exact gradient of the final |ee>
+population, with the suffix products obtained by unitarity.  The
 first-order leakage amplitude is ``-i integral V(tau) e^{i 2 omega_0 tau}``
 in the interaction picture of the splitting (that phase convention; the
 magnitude is convention-free).  An off-resonant population left in |ee> can
@@ -43,15 +48,66 @@ class EvenState:
         return float(abs(self.amp_ee) ** 2)
 
 
-def _segment_rotations(v: np.ndarray, omega0: float, dt: float):
-    omega = np.hypot(v, omega0)
+def segment_rotation(v, w, dt: float, derivative: bool = False):
+    """Closed-form ``exp(-i dt (w sz + v sx))`` as the SU(2) pair ``(a, b)``.
+
+    In the basis ``(|0>, |1>)`` with ``sz = diag(-1, 1)`` the rotation is
+    ``[[a, b], [b, conj(a)]]`` with ``a = c + i w s``, ``b = -i v s``,
+    ``c = cos(Omega dt)``, ``s = sin(Omega dt) / Omega`` and
+    ``Omega = hypot(v, w)``; ``s = dt`` at ``Omega = 0``.  ``v`` and ``w``
+    broadcast.  With ``derivative`` the pair ``(da/dv, db/dv)`` follows.
+    """
+    omega = np.hypot(v, w)
     c = np.cos(omega * dt)
     s = np.where(omega > 0.0, np.sin(omega * dt) / np.where(omega > 0.0, omega, 1.0), dt)
-    # basis (gg, ee): H = [[-omega0, v], [v, omega0]]
-    u00 = c + 1j * omega0 * s
-    u01 = -1j * v * s
-    u11 = c - 1j * omega0 * s
-    return u00, u01, u11
+    a = c + 1j * w * s
+    b = -1j * v * s
+    if not derivative:
+        return a, b
+    # ds/dv = v (c dt - s) / Omega^2 = v dt^3 (x cos x - sin x) / x^3 with
+    # x = Omega dt.  The difference cancels as x -> 0, so below x = 0.1 its
+    # Taylor series is used (both forms are accurate to ~1e-13 there).
+    x2 = (omega * dt) ** 2
+    small = x2 < 1e-2
+    series = dt ** 3 * (-1.0 / 3.0 + x2 * (1.0 / 30.0 + x2 * (-1.0 / 840.0 + x2 / 45360.0)))
+    ds = v * np.where(small, series, (c * dt - s) / np.where(small, 1.0, omega * omega))
+    dc = -s * dt * v
+    return a, b, dc + 1j * w * ds, -1j * (s + v * ds)
+
+
+def _prefix_products(a: np.ndarray, b: np.ndarray):
+    """Inclusive scan ``U_k ... U_0`` of SU(2) segment rotations.
+
+    Each element is the pair ``(alpha, beta)`` of ``[[alpha, beta],
+    [-conj(beta), conj(alpha)]]``, which a segment rotation is, since its
+    ``b`` is imaginary.  Hillis-Steele doubling: ceil(log2 N) vectorised
+    steps, each composing every product with the one ``d`` segments earlier.
+    """
+    alpha = np.array(a, dtype=complex)
+    beta = np.array(b, dtype=complex)
+    d = 1
+    while d < alpha.size:
+        later_a, later_b = alpha[d:], beta[d:]
+        earlier_a, earlier_b = alpha[:-d], beta[:-d]
+        new_a = later_a * earlier_a - later_b * np.conj(earlier_b)
+        new_b = later_a * earlier_b + later_b * np.conj(earlier_a)
+        alpha[d:] = new_a
+        beta[d:] = new_b
+        d *= 2
+    return alpha, beta
+
+
+def _propagate(v: np.ndarray, omega0: float, dt: float, initial, trajectory: bool):
+    """Amplitudes ``(gg, ee)`` after the last segment, or after every node."""
+    a, b = segment_rotation(v, omega0, dt)
+    alpha, beta = _prefix_products(a, b)
+    if trajectory:
+        alpha = np.concatenate(([1.0], alpha))
+        beta = np.concatenate(([0.0], beta))
+    else:
+        alpha, beta = alpha[-1], beta[-1]
+    g0, e0 = complex(initial[0]), complex(initial[1])
+    return alpha * g0 + beta * e0, np.conj(alpha) * e0 - np.conj(beta) * g0
 
 
 def propagate_even(p: Pulse, omega0: float, initial=(1.0 + 0.0j, 0.0j), return_trajectory: bool = False):
@@ -64,27 +120,39 @@ def propagate_even(p: Pulse, omega0: float, initial=(1.0 + 0.0j, 0.0j), return_t
     """
     if omega0 < 0.0:
         raise ValueError("omega0 must be nonnegative")
-    u00, u01, u11 = _segment_rotations(p.amplitudes(), omega0, p.dt)
-    a_gg, a_ee = complex(initial[0]), complex(initial[1])
-    traj = np.empty((p.phases.size, 2), dtype=complex) if return_trajectory else None
-    if traj is not None:
-        traj[0] = (a_gg, a_ee)
-    for k in range(p.n_segments):
-        a_gg, a_ee = u00[k] * a_gg + u01[k] * a_ee, u01[k] * a_gg + u11[k] * a_ee
-        if traj is not None:
-            traj[k + 1] = (a_gg, a_ee)
-    state = EvenState(amp_gg=a_gg, amp_ee=a_ee)
-    return (state, traj) if return_trajectory else state
+    gg, ee = _propagate(p.amplitudes(), omega0, p.dt, initial, return_trajectory)
+    if not return_trajectory:
+        return EvenState(amp_gg=complex(gg), amp_ee=complex(ee))
+    traj = np.stack((gg, ee), axis=1)
+    return EvenState(amp_gg=complex(gg[-1]), amp_ee=complex(ee[-1])), traj
 
 
-def _propagate_even_batch(v: np.ndarray, omega0: float, dt: float, init_gg: np.ndarray, init_ee: np.ndarray):
-    """Vectorised propagation of many initial states under one segment table."""
-    u00, u01, u11 = _segment_rotations(v, omega0, dt)
-    a_gg = init_gg.astype(complex).copy()
-    a_ee = init_ee.astype(complex).copy()
-    for k in range(v.size):
-        a_gg, a_ee = u00[k] * a_gg + u01[k] * a_ee, u01[k] * a_gg + u11[k] * a_ee
-    return a_gg, a_ee
+def leakage_value_grad(phases, dt: float, omega0: float):
+    """Final |ee> population from the ground state and its exact gradient.
+
+    ``phases`` holds all ``N + 1`` samples of a pulse on a grid of spacing
+    ``dt``; the gradient is taken over the ``N - 1`` interior samples, the
+    endpoints being fixed.  With the prefix products
+    ``M_k = U_{k-1} ... U_0`` and ``U_tot = M_N``, each segment contributes
+    ``d amp_ee / d v_k = r_k (dU_k/dv_k) psi_k`` with the prefix state
+    ``psi_k = M_k |gg>`` and the suffix row ``r_k = <ee| U_tot M_{k+1}^dagger``
+    (unitarity of ``M_{k+1}``), so one scan serves both.
+    """
+    if omega0 < 0.0:
+        raise ValueError("omega0 must be nonnegative")
+    v = np.diff(phases) / dt
+    a, b, da, db = segment_rotation(v, omega0, dt, derivative=True)
+    alpha, beta = _prefix_products(a, b)
+    a_tot, b_tot = alpha[-1], beta[-1]
+    amp_ee = -np.conj(b_tot)
+    # prefix state before segment k: (alpha, -conj(beta)) of M_k, M_0 = 1
+    g = np.concatenate(([1.0], alpha[:-1]))
+    e = np.concatenate(([0.0], -np.conj(beta[:-1])))
+    r0 = np.conj(a_tot * beta - b_tot * alpha)
+    r1 = np.conj(b_tot) * beta + np.conj(a_tot) * alpha
+    damp = r0 * (da * g + db * e) + r1 * (db * g + np.conj(da) * e)
+    dpop_dv = 2.0 * np.real(np.conj(amp_ee) * damp)
+    return float(abs(amp_ee) ** 2), (dpop_dv[:-1] - dpop_dv[1:]) / dt
 
 
 def perturbative_leakage_amplitude(p: Pulse, omega0: float) -> complex:
@@ -151,10 +219,9 @@ def minimal_corrector_energy(omega0: float, psi_ee: float, available_time: float
 
     def residual(a, chi):
         phases = a * (np.cos(chi) - np.cos(2.0 * omega0 * t + chi)) / (2.0 * omega0)
-        v = np.diff(phases) / (available_time / n)
-        g, e = _propagate_even_batch(v, omega0, available_time / n,
-                                     np.array([init_gg]), np.array([psi_ee + 0.0j]))
-        return float(abs(e[0]) ** 2)
+        dt = available_time / n
+        _, e = _propagate(np.diff(phases) / dt, omega0, dt, (init_gg, psi_ee), False)
+        return float(abs(e) ** 2)
 
     chis = np.linspace(0.0, 2.0 * np.pi, n_chi, endpoint=False)
     amps = a_guess * np.linspace(0.5, 1.8, 24)

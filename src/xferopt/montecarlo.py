@@ -25,19 +25,18 @@ corrected) and ``B`` (transferred), the six-state mean per trajectory is
 
 Trajectories are keyed by a counter-based generator on
 ``(seed, trajectory index)`` and accumulated chunk-by-chunk in fixed index
-order, so results are bitwise reproducible for any worker count.
+order, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bath import BathModel, sample_noise_trajectory
 from .fidelity import bath_infidelity
-from .optimizer import worker_count
+from .leakage import segment_rotation
 from .pulse import Pulse
 
 NORM_TOL = 1e-8
@@ -122,22 +121,14 @@ def _chunk_fidelities(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig,
     for k in range(m):
         z = noise[:, k]
         vk = v_steps[k]
-        om = np.hypot(vk, z)
-        c = np.cos(om * dt)
-        s = np.where(om > 0.0, np.sin(om * dt) / np.where(om > 0.0, om, 1.0), dt)
-        a00 = c + 1j * z * s
-        a01 = -1j * vk * s
+        a00, a01 = segment_rotation(vk, z, dt)
         v0, v1 = a00 * v0 + a01 * v1, a01 * v0 + np.conj(a00) * v1
         if track_even:
             ze = omega0 + z
             if cfg.rwa:
                 u0 = np.exp(1j * ze * dt) * u0
             else:
-                ome = np.hypot(vk, ze)
-                ce = np.cos(ome * dt)
-                se = np.where(ome > 0.0, np.sin(ome * dt) / np.where(ome > 0.0, ome, 1.0), dt)
-                e00 = ce + 1j * ze * se
-                e01 = -1j * vk * se
+                e00, e01 = segment_rotation(vk, ze, dt)
                 u0, u1 = e00 * u0 + e01 * u1, e01 * u0 + np.conj(e00) * u1
 
     norm_odd = np.abs(v0) ** 2 + np.abs(v1) ** 2
@@ -167,22 +158,12 @@ def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) 
     per_segment, dt = _resolve_steps(p, b, omega0, cfg)
     v_steps = np.repeat(p.amplitudes(), per_segment)
 
-    bounds = list(range(0, cfg.n_traj, cfg.chunk_size))
-    def run(i0: int):
-        n = min(cfg.chunk_size, cfg.n_traj - i0)
-        f = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, i0, n)
-        return float(np.sum(f)), float(np.sum(f * f))
-
-    if len(bounds) == 1 or worker_count() == 1:
-        partials = [run(i0) for i0 in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=worker_count(limit=len(bounds))) as pool:
-            partials = list(pool.map(run, bounds))
     fsum = 0.0
     fsq = 0.0
-    for a, q in partials:
-        fsum += a
-        fsq += q
+    for i0 in range(0, cfg.n_traj, cfg.chunk_size):
+        f = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, i0, min(cfg.chunk_size, cfg.n_traj - i0))
+        fsum += float(np.sum(f))
+        fsq += float(np.sum(f * f))
     mean = fsum / cfg.n_traj
     if cfg.n_traj > 1:
         var = max((fsq - cfg.n_traj * mean * mean) / (cfg.n_traj - 1), 0.0)

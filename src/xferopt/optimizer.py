@@ -10,20 +10,17 @@ solutions need sign changes on the return path.
 The objective is the bath infidelity (time-domain kernel form, or the
 memoryless closed form when ``t_c = 0``), optionally plus
 ``leak_weight * |amp_ee(t_f)|^2`` from the exact even-sector propagation.
-The leakage term is differentiated by central differences of the single
-segment rotation inside stored prefix states and suffix operators, which
-keeps the gradient cost linear in the grid size.
+The leakage gradient is exact as well: the closed-form derivative of each
+segment rotation between prefix states and suffix rows of one vectorised
+scan (:func:`xferopt.leakage.leakage_value_grad`).
 
 Multistart templates (linear ramp, rescaled memoryless-optimal profile, and
 an overshoot ansatz) mitigate the local minima of echo-like landscapes; the
-best start wins, selected in fixed index order so results are independent of
-worker scheduling.
+best start wins, with ties broken by the fixed start order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,23 +35,11 @@ from .fidelity import (
     _kernel_values,
     _trap_weights,
 )
-from .leakage import _segment_rotations
+from .leakage import leakage_value_grad
 from .markovian import solve_markovian_profile
 from .pulse import HALF_PI, EnergyBudget, Pulse
 
-THREADS_ENV = "XFEROPT_THREADS"
-
 DEFAULT_STARTS = ("ramp", "markovian", "overshoot")
-
-
-def worker_count(limit: int | None = None) -> int:
-    """Worker cap from the XFEROPT_THREADS environment variable."""
-    env = os.environ.get(THREADS_ENV)
-    n = int(env) if env else (os.cpu_count() or 1)
-    n = max(1, n)
-    if limit is not None:
-        n = min(n, max(1, limit))
-    return n
 
 
 @dataclass(frozen=True)
@@ -163,49 +148,13 @@ class _Objective:
             grad = 2.0 * w * (X1_WEIGHT * r1 * dx1 + X2_WEIGHT * r2 * dx2)
         return val, grad[1:-1]
 
-    def leak_value_grad(self, phi: np.ndarray):
-        """Final |ee> population and gradient over interior phases.
-
-        Prefix states and suffix operators make the central-difference
-        derivative with respect to each segment amplitude an O(N) sweep.
-        """
-        v = np.diff(phi) / self.dt
-        omega0 = self.prob.omega0
-        u00, u01, u11 = _segment_rotations(v, omega0, self.dt)
-        n = v.size
-        pg = np.empty(n + 1, dtype=complex)
-        pe = np.empty(n + 1, dtype=complex)
-        pg[0], pe[0] = 1.0, 0.0
-        for k in range(n):
-            pg[k + 1] = u00[k] * pg[k] + u01[k] * pe[k]
-            pe[k + 1] = u01[k] * pg[k] + u11[k] * pe[k]
-        s10 = np.empty(n + 1, dtype=complex)
-        s11 = np.empty(n + 1, dtype=complex)
-        s10[n], s11[n] = 0.0, 1.0
-        for k in range(n - 1, -1, -1):
-            s10[k] = s10[k + 1] * u00[k] + s11[k + 1] * u01[k]
-            s11[k] = s10[k + 1] * u01[k] + s11[k + 1] * u11[k]
-        amp_ee = pe[n]
-        pop = float(abs(amp_ee) ** 2)
-
-        h = 1e-6 * np.maximum(1.0, np.abs(v))
-        up00, up01, up11 = _segment_rotations(v + h, omega0, self.dt)
-        um00, um01, um11 = _segment_rotations(v - h, omega0, self.dt)
-        ee_p = s10[1:] * (up00 * pg[:-1] + up01 * pe[:-1]) + s11[1:] * (up01 * pg[:-1] + up11 * pe[:-1])
-        ee_m = s10[1:] * (um00 * pg[:-1] + um01 * pe[:-1]) + s11[1:] * (um01 * pg[:-1] + um11 * pe[:-1])
-        dpop_dv = (np.abs(ee_p) ** 2 - np.abs(ee_m) ** 2) / (2.0 * h)
-        dpop_dphi = np.zeros(self.n + 1)
-        dpop_dphi[:-1] -= dpop_dv / self.dt
-        dpop_dphi[1:] += dpop_dv / self.dt
-        return pop, dpop_dphi[1:-1]
-
     def value_grad(self, theta: np.ndarray):
         """Total objective (bath + weighted leakage) and its gradient."""
         phi = self.full_phases(theta)
         val, grad = self.bath_value_grad(phi)
         pop = 0.0
         if self.leakage:
-            pop, gpop = self.leak_value_grad(phi)
+            pop, gpop = leakage_value_grad(phi, self.dt, self.prob.omega0)
             val = val + self.prob.leak_weight * pop
             grad = grad + self.prob.leak_weight * gpop
         return val, grad, pop
@@ -347,14 +296,8 @@ def _solve_from(obj: _Objective, phi0: np.ndarray, label: str) -> OptimizationRe
 
 def _optimize(prob: OptimizationProblem, include_leakage: bool) -> OptimizationResult:
     obj = _Objective(prob, include_leakage)
-    starts = _start_list(prob)
-    if len(starts) == 1 or worker_count() == 1:
-        results = [_solve_from(obj, phi0, label) for label, phi0 in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=worker_count(limit=len(starts))) as pool:
-            futures = [pool.submit(_solve_from, obj, phi0, label) for label, phi0 in starts]
-            results = [f.result() for f in futures]
-    # Fixed index order breaks ties, so the selection is scheduling-independent.
+    results = [_solve_from(obj, phi0, label) for label, phi0 in _start_list(prob)]
+    # Fixed index order breaks ties between equally good starts.
     best = min(
         range(len(results)),
         key=lambda i: (not results[i].converged, results[i].breakdown.total, i),
@@ -378,8 +321,8 @@ def sweep_final_time(bath: BathModel, budget: EnergyBudget, t_f_list, opts: dict
     """Optimise over a list of final times and collect sweep records.
 
     Points are processed in increasing ``t_f`` so each one warm-starts from
-    the previous optimum (time-dilated, and padded with a hold at ``pi/2``);
-    the multistarts of each point run concurrently.  Per-point failures are
+    the previous optimum (time-dilated, and padded with a hold at ``pi/2``).
+    Per-point failures are
     recorded with ``converged = False`` instead of aborting the sweep.
     Duplicated final times reuse the first result so identical grid points
     yield identical records.

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import xferopt as xo
 from conftest import ENERGY, random_pulse
+from xferopt.leakage import leakage_value_grad
 
 
 def fastest_leakage_closed_form(t_min=1.0):
@@ -53,6 +55,57 @@ class TestPropagateEven:
         assert traj.shape == (33, 2)
         assert traj[0, 0] == 1.0
         assert traj[-1, 1] == state.amp_ee
+
+    @pytest.mark.parametrize("n", [2, 37, 300])
+    def test_matches_sequential_product(self, n):
+        # Reference: one expm per segment applied in order.  N not a power of
+        # two leaves a ragged tail at every doubling step of the scan.
+        rng = np.random.default_rng(n)
+        p = random_pulse(rng, n, 1.9, scale=0.3)
+        omega0 = 2.3
+        initial = (0.6 + 0.0j, 0.48 - 0.64j)
+        state, traj = xo.propagate_even(p, omega0, initial=initial, return_trajectory=True)
+        psi = np.array(initial)
+        want = [psi]
+        for v in p.amplitudes():
+            psi = expm(-1j * p.dt * np.array([[-omega0, v], [v, omega0]])) @ psi
+            want.append(psi)
+        assert traj.shape == (n + 1, 2)
+        assert np.max(np.abs(traj - np.array(want))) <= 1e-13
+        assert (state.amp_gg, state.amp_ee) == (traj[-1, 0], traj[-1, 1])
+
+
+class TestLeakageGradient:
+    @pytest.mark.parametrize("n", [40, 2048])
+    def test_matches_central_differences(self, n):
+        # At N = 2048, Omega dt ~ 2e-3 exercises the small-angle branch of
+        # the rotation derivative.
+        rng = np.random.default_rng(12)
+        t_f, omega0 = 2.0, 2.0
+        phases = np.linspace(0.0, np.pi / 2, n + 1)
+        phases[1:-1] += rng.normal(0.0, 0.05, n - 1)
+        pop, grad = leakage_value_grad(phases, t_f / n, omega0)
+        assert pop == pytest.approx(xo.propagate_even(xo.make_pulse(phases, t_f), omega0).p_ee, abs=1e-15)
+        h = 1e-5
+        fd = np.empty(n - 1)
+        for i in range(1, n):
+            q = phases.copy()
+            q[i] += h
+            up = xo.propagate_even(xo.make_pulse(q, t_f), omega0).p_ee
+            q[i] -= 2 * h
+            dn = xo.propagate_even(xo.make_pulse(q, t_f), omega0).p_ee
+            fd[i - 1] = (up - dn) / (2 * h)
+        assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+    def test_zero_splitting_with_idle_segments(self):
+        # omega0 = 0 and V = 0 on held segments: Omega = 0 there.  The state
+        # only rotates by the total phase, so p_ee = sin^2(phi(t_f)) and the
+        # gradient over interior phases vanishes.
+        phases = np.array([0.0, 0.3, 0.3, 0.3, 0.9, 1.1, 1.1])
+        pop, grad = leakage_value_grad(phases, 0.25, 0.0)
+        assert pop == pytest.approx(np.sin(1.1) ** 2, abs=1e-15)
+        assert np.all(np.isfinite(grad))
+        assert np.max(np.abs(grad)) <= 1e-14
 
 
 class TestPerturbativeAmplitude:

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -32,22 +30,6 @@ class TestDeterminism:
         cfg = xo.OracleConfig(n_traj=2000, seed=11, chunk_size=256)
         r1 = xo.simulate_transfer(p, b, 0.0, cfg)
         r2 = xo.simulate_transfer(p, b, 0.0, cfg)
-        assert (r1.mean, r1.stderr) == (r2.mean, r2.stderr)
-
-    def test_worker_count_invariance(self, budget):
-        p = xo.fastest_pulse(budget, 128)
-        b = xo.BathModel(gamma=0.05, t_c=1.0)
-        cfg = xo.OracleConfig(n_traj=2000, seed=11, chunk_size=256)
-        r1 = xo.simulate_transfer(p, b, 0.0, cfg)
-        old = os.environ.get("XFEROPT_THREADS")
-        os.environ["XFEROPT_THREADS"] = "1"
-        try:
-            r2 = xo.simulate_transfer(p, b, 0.0, cfg)
-        finally:
-            if old is None:
-                os.environ.pop("XFEROPT_THREADS")
-            else:
-                os.environ["XFEROPT_THREADS"] = old
         assert (r1.mean, r1.stderr) == (r2.mean, r2.stderr)
 
 
