@@ -16,6 +16,19 @@ Fourier convention: the coupling spectrum is
 ``G(omega) = (1/2pi) integral Phi(t) e^{i omega t} dt``, paired with
 finite-time transforms ``integral x(tau) e^{-i omega tau} d tau`` in the
 fidelity module so that Parseval closes without stray ``2 pi`` factors.
+
+On a uniform grid of spacing ``dt`` the kernel samples are
+``Phi(m dt) = c0 rho^m`` with ``c0 = corr_norm * gamma / t_c`` and
+``rho = exp(-dt/t_c)``.  With ``S`` the down-shift matrix and
+``L = I - rho S`` (unit lower bidiagonal), the kernel matrix is exactly
+
+    K = c0 [L^{-1} + L^{-T} - I],
+
+since ``L^{-1}`` holds ``rho^(j-k)`` on and below the diagonal.  A kernel
+product is therefore two banded triangular solves, O(N) and without a
+kernel table.  The same factor generates the stationary Ornstein-Uhlenbeck
+samples: ``b = L^{-1} d`` with ``d_0 = sigma xi_0`` and
+``d_k = sigma sqrt(1 - rho^2) xi_k``.  Both go through :func:`_exp_solve`.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dtbtrs
 
 DEFAULT_CORR_NORM = 0.5
 
@@ -74,6 +87,36 @@ def spectrum(b: BathModel, omega):
     return float(out) if out.ndim == 0 else out
 
 
+def _exp_solve(rho: float, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve ``(I - rho S) x = rhs``, or its transpose, along the first axis.
+
+    ``rhs`` is 1-d or has one column per right-hand side.  Forward (or, with
+    ``transpose``, backward) substitution of the recursion
+    ``x_k = rhs_k + rho x_{k-1}``.
+    """
+    band = np.empty((2, rhs.shape[0]))
+    band[0] = 1.0  # unit diagonal, not referenced with diag="U"
+    band[1] = -rho
+    x, info = dtbtrs(band, rhs, uplo="L", trans="T" if transpose else "N", diag="U")
+    if info != 0:
+        raise RuntimeError(f"banded triangular solve failed: LAPACK dtbtrs info = {info}")
+    return x
+
+
+def kernel_product(b: BathModel, dt: float, y):
+    """Kernel matrix product ``out_j = sum_k Phi(|j - k| dt) y_k``, in O(N).
+
+    ``y`` is 1-d or has one column per vector, with samples along the first
+    axis.  Requires ``t_c > 0``.
+    """
+    if b.is_markovian:
+        raise ValueError("kernel product undefined at t_c = 0; use the Markovian closed form")
+    y = np.asarray(y, dtype=float)
+    rho = np.exp(-dt / b.t_c)
+    c0 = b.corr_norm * b.gamma / b.t_c
+    return c0 * (_exp_solve(rho, y) + _exp_solve(rho, y, transpose=True) - y)
+
+
 def _check_uniform_grid(grid: np.ndarray) -> float:
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least 2 points")
@@ -108,9 +151,6 @@ def sample_noise_trajectory(b: BathModel, grid, seed: int, trajectory_index: int
     xi = rng.standard_normal(grid.size)
     rho = np.exp(-dt / b.t_c)
     sigma = np.sqrt(b.corr_norm * b.gamma / b.t_c)
-    b0 = sigma * xi[0]
-    if grid.size == 1:
-        return np.array([b0])
-    innov = sigma * np.sqrt(1.0 - rho * rho) * xi[1:]
-    tail, _ = lfilter([1.0], [1.0, -rho], innov, zi=np.array([rho * b0]))
-    return np.concatenate(([b0], tail))
+    d = (sigma * np.sqrt(1.0 - rho * rho)) * xi
+    d[0] = sigma * xi[0]
+    return _exp_solve(rho, d)

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bath import DEFAULT_CORR_NORM, BathModel
-from .fidelity import bath_infidelity, infidelity_freq, infidelity_markovian, infidelity_time
+from .fidelity import bath_infidelity, infidelity_freq
 from .leakage import perturbative_leakage_amplitude, propagate_even
 from .markovian import solve_markovian_profile
 from .montecarlo import OracleConfig, simulate_transfer
@@ -89,10 +89,7 @@ def cmd_evaluate(args) -> int:
     used = pulse_energy(pulse)
     budget = EnergyBudget(float(energy)) if energy is not None else EnergyBudget(used)
 
-    if bath.is_markovian:
-        inf_time = infidelity_markovian(pulse, bath.gamma)
-    else:
-        inf_time = infidelity_time(pulse, bath)
+    inf_time = bath_infidelity(pulse, bath)
     inf_freq = infidelity_freq(pulse, bath)
     report = {
         "energy": used,
@@ -224,7 +221,12 @@ def cmd_sweep(args) -> int:
             )
     print(f"sweep_file = {sweep_path}")
     print(f"points = {len(rows)}")
-    n_failed = sum(1 for rec in rows if not rec.converged)
+    n_failed = 0
+    for rec in rows:
+        if not rec.converged:
+            n_failed += 1
+            reason = rec.error or "optimizer did not converge"
+            print(f"sweep point t_f/t_min = {_fmt(rec.tf_over_tmin)} failed: {reason}", file=sys.stderr)
     print(f"failed = {n_failed}")
     return 0 if n_failed == 0 else 1
 

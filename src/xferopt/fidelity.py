@@ -23,8 +23,12 @@ with the modulation spectrum
 Both routes discretise the time integrals by the trapezoid rule on the pulse
 grid, so they evaluate the same quadratic form and agree to quadrature
 accuracy; they serve as mutual cross-checks.  The time-domain route is the
-production path for optimization (no frequency truncation error) and its
-kernel contraction is a Toeplitz convolution, cached per (bath, grid).
+production path: :func:`bath_value_grad` computes the quadratic form and its
+exact gradient in one pass, with both integrands as the two columns of one
+O(N) kernel product (:func:`xferopt.bath.kernel_product`), or with the
+memoryless closed form when ``t_c = 0``.  Every time-domain entry point and
+the optimiser call it.  The frequency route builds its transform matrix in
+slices of frequency nodes, so its memory stays bounded at any grid size.
 """
 
 from __future__ import annotations
@@ -33,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.signal import fftconvolve
 
-from .bath import BathModel, correlation, spectrum
+from .bath import BathModel, kernel_product
 from .pulse import Pulse
 
 X1_WEIGHT = 2.0 / 3.0
@@ -58,8 +61,7 @@ class InfidelityBreakdown:
         return self.bath_infidelity + self.leakage_penalty
 
 
-def _integrands(p: Pulse):
-    phi = p.phases
+def _integrands(phi: np.ndarray):
     return np.cos(phi) ** 2, np.sin(2.0 * phi)
 
 
@@ -70,30 +72,33 @@ def _trap_weights(n_samples: int, dt: float) -> np.ndarray:
     return w
 
 
-_KERNEL_CACHE: dict[tuple, np.ndarray] = {}
+def bath_value_grad(phases, dt: float, b: BathModel):
+    """Bath infidelity of the grid phases and its exact gradient.
 
-
-def _kernel_values(b: BathModel, n_samples: int, t_f: float) -> np.ndarray:
-    """Kernel samples ``Phi(m * dt)`` for lags m = 0 .. N, cached."""
-    key = (b.gamma, b.t_c, b.corr_norm, n_samples, t_f)
-    c = _KERNEL_CACHE.get(key)
-    if c is None:
-        dt = t_f / (n_samples - 1)
-        c = correlation(b, dt * np.arange(n_samples))
-        c.setflags(write=False)
-        _KERNEL_CACHE[key] = c
-    return c
-
-
-def _kernel_contract(c: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Toeplitz product ``out_j = sum_k Phi(|j-k| dt) y_k`` via convolution."""
-    full = np.concatenate((c[:0:-1], c))
-    n = y.size
-    if n > 1024:
-        conv = fftconvolve(y, full)
+    Evaluates the trapezoid quadratic form of the kernel (the memoryless
+    integrand ``gamma [(2/3) cos^4 phi + (1/2) sin^2 2phi]`` when ``t_c = 0``)
+    and differentiates it with ``d cos^2 phi / d phi = -sin 2phi`` and
+    ``d sin 2phi / d phi = 2 cos 2phi``.  Returns ``(value, grad)`` with one
+    gradient entry per interior sample ``phi_1 .. phi_{N-1}``.
+    """
+    phi = np.asarray(phases, dtype=float)
+    if b.gamma == 0.0:
+        return 0.0, np.zeros(phi.size - 2)
+    w = _trap_weights(phi.size, dt)
+    x1, x2 = _integrands(phi)
+    if b.is_markovian:
+        # The kernel is gamma delta(t - t'), so r = gamma x, with gamma
+        # applied last as in the closed form.
+        value = b.gamma * float(np.sum(w * (X1_WEIGHT * x1 * x1 + X2_WEIGHT * x2 * x2)))
+        r1, r2, scale = x1, x2, b.gamma
     else:
-        conv = np.convolve(y, full)
-    return conv[n - 1 : 2 * n - 1]
+        # r = K y: the kernel applied to both weighted integrands in one product.
+        y = w * np.stack((x1, x2))
+        r1, r2 = kernel_product(b, dt, y.T).T
+        value = X1_WEIGHT * float(y[0] @ r1) + X2_WEIGHT * float(y[1] @ r2)
+        scale = 1.0
+    grad = scale * w * 2.0 * (X1_WEIGHT * r1 * -x2 + X2_WEIGHT * r2 * 2.0 * np.cos(2.0 * phi))
+    return value, grad[1:-1]
 
 
 def infidelity_time(p: Pulse, b: BathModel) -> float:
@@ -104,58 +109,40 @@ def infidelity_time(p: Pulse, b: BathModel) -> float:
     """
     if b.is_markovian:
         raise ValueError("t_c = 0 has no finite kernel; use infidelity_markovian")
-    if b.gamma == 0.0:
-        return 0.0
-    x1, x2 = _integrands(p)
-    w = _trap_weights(p.phases.size, p.dt)
-    c = _kernel_values(b, p.phases.size, p.t_f)
-    y1 = w * x1
-    y2 = w * x2
-    q1 = float(y1 @ _kernel_contract(c, y1))
-    q2 = float(y2 @ _kernel_contract(c, y2))
-    return X1_WEIGHT * q1 + X2_WEIGHT * q2
+    return bath_value_grad(p.phases, p.dt, b)[0]
 
 
 def infidelity_markovian(p: Pulse, gamma: float) -> float:
     """Memoryless-bath infidelity ``gamma * integral (2/3) cos^4 phi + (1/2) sin^2 2phi``."""
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
-    x1, x2 = _integrands(p)
-    w = _trap_weights(p.phases.size, p.dt)
-    return gamma * float(np.sum(w * (X1_WEIGHT * x1 * x1 + X2_WEIGHT * x2 * x2)))
+    return bath_value_grad(p.phases, p.dt, BathModel(gamma=gamma, t_c=0.0))[0]
 
 
 def infidelity_gradient(p: Pulse, b: BathModel) -> np.ndarray:
     """Exact gradient of the discretised infidelity over interior phases.
 
-    Differentiates the grid quadratic form (or the memoryless integrand when
-    ``t_c = 0``) using ``d cos^2 phi / d phi = -sin 2phi`` and
-    ``d sin 2phi / d phi = 2 cos 2phi``.  Returns one entry per interior
-    sample ``phi_1 .. phi_{N-1}``.
+    One entry per interior sample ``phi_1 .. phi_{N-1}``; see
+    :func:`bath_value_grad`.
     """
-    phi = p.phases
-    x1, x2 = _integrands(p)
-    w = _trap_weights(phi.size, p.dt)
-    dx1 = -np.sin(2.0 * phi)
-    dx2 = 2.0 * np.cos(2.0 * phi)
-    if b.is_markovian:
-        grad = b.gamma * w * (2.0 * X1_WEIGHT * x1 * dx1 + 2.0 * X2_WEIGHT * x2 * dx2)
-    else:
-        if b.gamma == 0.0:
-            return np.zeros(phi.size - 2)
-        c = _kernel_values(b, phi.size, p.t_f)
-        r1 = _kernel_contract(c, w * x1)
-        r2 = _kernel_contract(c, w * x2)
-        grad = 2.0 * w * (X1_WEIGHT * r1 * dx1 + X2_WEIGHT * r2 * dx2)
-    return grad[1:-1]
+    return bath_value_grad(p.phases, p.dt, b)[1]
+
+
+# Byte budget of one slice of the exp(-i omega t) matrix in the frequency path.
+_FREQ_SLICE_BYTES = 1 << 24
 
 
 def _finite_transforms(p: Pulse, omegas: np.ndarray):
     """Trapezoid finite-time transforms of x1, x2 at the given frequencies."""
-    x1, x2 = _integrands(p)
+    x1, x2 = _integrands(p.phases)
     w = _trap_weights(p.phases.size, p.dt)
-    phase = np.exp(-1j * np.outer(omegas, p.times))
-    return phase @ (w * x1), phase @ (w * x2)
+    y1, y2 = w * x1, w * x2
+    t1 = np.empty(omegas.size, dtype=complex)
+    t2 = np.empty(omegas.size, dtype=complex)
+    rows = max(1, _FREQ_SLICE_BYTES // (16 * p.times.size))
+    for lo in range(0, omegas.size, rows):
+        phase = np.exp(-1j * np.outer(omegas[lo : lo + rows], p.times))
+        t1[lo : lo + rows] = phase @ y1
+        t2[lo : lo + rows] = phase @ y2
+    return t1, t2
 
 
 def modulation_spectrum(p: Pulse, omega):
@@ -175,19 +162,15 @@ def modulation_spectrum(p: Pulse, omega):
 class FreqGrid:
     """Quadrature specification for the spectral-overlap integral.
 
-    ``omega_max = None`` (default) integrates the alias-folded spectrum over
-    one spectral period of the grid transforms, which reproduces the
-    time-domain quadratic form exactly up to quadrature error.  A finite
-    ``omega_max`` instead truncates the plain overlap integral at that
-    cutoff (``t_c > 0`` only) and raises if the estimated tail exceeds
-    ``1e-8`` of the integral; generous cutoffs of order ``40 / t_c`` and
-    beyond the grid's amplitude scale are required.
+    The integral runs over one spectral period of the grid transforms
+    against the alias-folded kernel spectrum, which reproduces the
+    time-domain quadratic form exactly up to quadrature error: ``order``
+    Gauss-Legendre nodes on each of ``base_panels`` panels (default
+    ``max(4, N/8 + 2)``), refined near the spectral peak.
     """
 
     order: int = 24
     base_panels: int | None = None
-    omega_max: float | None = None
-    tail_rtol: float = 1e-8
 
 
 def _gl_nodes(edges: np.ndarray, order: int):
@@ -218,7 +201,7 @@ def infidelity_freq(p: Pulse, b: BathModel, grid: FreqGrid | None = None) -> flo
     Documented to agree with :func:`infidelity_time`: by default the
     integral runs over one spectral period of the grid transforms against
     the alias-folded kernel spectrum, an exact identity with the time-domain
-    quadratic form.  See :class:`FreqGrid` for the explicit-cutoff mode.
+    quadratic form.  See :class:`FreqGrid` for the quadrature.
     """
     if grid is None:
         grid = FreqGrid()
@@ -228,55 +211,29 @@ def infidelity_freq(p: Pulse, b: BathModel, grid: FreqGrid | None = None) -> flo
     n = p.phases.size
     n_base = grid.base_panels if grid.base_panels is not None else max(4, (n + 7) // 8 + 2)
 
-    if grid.omega_max is None:
-        omega_nyq = np.pi / dt
-        if b.is_markovian:
-            edges = np.linspace(0.0, omega_nyq, n_base + 1)
-            nodes, weights = _gl_nodes(edges, grid.order)
-            gvals = np.full(nodes.size, b.corr_norm * b.gamma / np.pi)
-        else:
-            r = dt / b.t_c
-            edges = _peak_refined_edges(0.0, omega_nyq, 1.0 / b.t_c, n_base)
-            nodes, weights = _gl_nodes(edges, grid.order)
-            # Alias-folded Lorentzian: sum_m G(w + 2 pi m / dt), in the
-            # numerically stable form cosh r - cos(w dt) = 2 sinh^2(r/2) + 2 sin^2(w dt / 2).
-            scale = b.corr_norm * b.gamma * dt / (2.0 * np.pi * b.t_c)
-            denom = 2.0 * np.sinh(min(r, 350.0) / 2.0) ** 2 + 2.0 * np.sin(nodes * dt / 2.0) ** 2
-            if r > 350.0:
-                gvals = np.full(nodes.size, scale)
-            else:
-                gvals = scale * np.sinh(r) / denom
-    else:
-        if b.is_markovian:
-            raise ValueError("explicit-cutoff mode requires t_c > 0 (flat spectra never truncate)")
-        if grid.omega_max <= 0.0:
-            raise ValueError("omega_max must be positive")
-        edges = _peak_refined_edges(0.0, grid.omega_max, 1.0 / b.t_c, n_base)
+    omega_nyq = np.pi / dt
+    if b.is_markovian:
+        edges = np.linspace(0.0, omega_nyq, n_base + 1)
         nodes, weights = _gl_nodes(edges, grid.order)
-        gvals = spectrum(b, nodes)
+        gvals = np.full(nodes.size, b.corr_norm * b.gamma / np.pi)
+    else:
+        r = dt / b.t_c
+        edges = _peak_refined_edges(0.0, omega_nyq, 1.0 / b.t_c, n_base)
+        nodes, weights = _gl_nodes(edges, grid.order)
+        # Alias-folded Lorentzian: sum_m G(w + 2 pi m / dt), in the
+        # numerically stable form cosh r - cos(w dt) = 2 sinh^2(r/2) + 2 sin^2(w dt / 2).
+        scale = b.corr_norm * b.gamma * dt / (2.0 * np.pi * b.t_c)
+        denom = 2.0 * np.sinh(min(r, 350.0) / 2.0) ** 2 + 2.0 * np.sin(nodes * dt / 2.0) ** 2
+        if r > 350.0:
+            gvals = np.full(nodes.size, scale)
+        else:
+            gvals = scale * np.sinh(r) / denom
 
     t1, t2 = _finite_transforms(p, nodes)
     fvals = X1_WEIGHT * np.abs(t1) ** 2 + X2_WEIGHT * np.abs(t2) ** 2
-    value = 2.0 * float(np.sum(weights * gvals * fvals))
-
-    if grid.omega_max is not None:
-        # Tail estimate: kernel weight beyond the cutoff times the
-        # period-averaged transform power (cross terms average out).
-        x1, x2 = _integrands(p)
-        w = _trap_weights(n, dt)
-        f_mean = X1_WEIGHT * float(np.sum((w * x1) ** 2)) + X2_WEIGHT * float(np.sum((w * x2) ** 2))
-        g_tail = (2.0 * b.corr_norm * b.gamma / (np.pi * b.t_c)) * (np.pi / 2.0 - np.arctan(grid.omega_max * b.t_c))
-        tail = g_tail * f_mean
-        if tail > grid.tail_rtol * max(abs(value), 1e-300):
-            raise ValueError(
-                f"frequency cutoff too small: tail estimate {tail:.3e} exceeds "
-                f"{grid.tail_rtol:.1e} of the integral {value:.3e}"
-            )
-    return value
+    return 2.0 * float(np.sum(weights * gvals * fvals))
 
 
 def bath_infidelity(p: Pulse, b: BathModel) -> float:
     """Bath-induced infidelity via the production path for the given bath."""
-    if b.is_markovian:
-        return infidelity_markovian(p, b.gamma)
-    return infidelity_time(p, b)
+    return bath_value_grad(p.phases, p.dt, b)[0]

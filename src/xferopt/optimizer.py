@@ -8,7 +8,8 @@ with analytic gradients.  No positivity is imposed on ``V``: overshooting
 solutions need sign changes on the return path.
 
 The objective is the bath infidelity (time-domain kernel form, or the
-memoryless closed form when ``t_c = 0``), optionally plus
+memoryless closed form when ``t_c = 0``; both with their exact gradient from
+:func:`xferopt.fidelity.bath_value_grad`), optionally plus
 ``leak_weight * |amp_ee(t_f)|^2`` from the exact even-sector propagation.
 The leakage gradient is exact as well: the closed-form derivative of each
 segment rotation between prefix states and suffix rows of one vectorised
@@ -27,14 +28,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bath import BathModel
-from .fidelity import (
-    X1_WEIGHT,
-    X2_WEIGHT,
-    InfidelityBreakdown,
-    _kernel_contract,
-    _kernel_values,
-    _trap_weights,
-)
+from .fidelity import InfidelityBreakdown, bath_value_grad
 from .leakage import leakage_value_grad
 from .markovian import solve_markovian_profile
 from .pulse import HALF_PI, EnergyBudget, Pulse
@@ -94,7 +88,11 @@ class OptimizationResult:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One (t_f, t_c, E) grid point of a final-time sweep."""
+    """One (t_f, t_c, E) grid point of a final-time sweep.
+
+    ``error`` names the exception that made the point fail, and is empty
+    when the optimiser ran.
+    """
 
     tf_over_tmin: float
     tc_over_tmin: float
@@ -103,6 +101,7 @@ class SweepRecord:
     max_phi: float
     converged: bool
     pulse_file: str = ""
+    error: str = ""
     pulse: Pulse | None = field(default=None, repr=False, compare=False)
 
 
@@ -113,11 +112,6 @@ class _Objective:
         self.prob = prob
         self.n = prob.grid_n
         self.dt = prob.t_f / self.n
-        self.w = _trap_weights(self.n + 1, self.dt)
-        self.markovian = prob.bath.is_markovian
-        self.kernel = None
-        if not self.markovian and prob.bath.gamma > 0.0:
-            self.kernel = _kernel_values(prob.bath, self.n + 1, prob.t_f)
         self.leakage = include_leakage and prob.omega0 > 0.0 and prob.leak_weight > 0.0
 
     def full_phases(self, theta: np.ndarray) -> np.ndarray:
@@ -127,31 +121,10 @@ class _Objective:
         phi[1:-1] = theta
         return phi
 
-    def bath_value_grad(self, phi: np.ndarray):
-        gamma = self.prob.bath.gamma
-        if gamma == 0.0:
-            return 0.0, np.zeros(self.n - 1)
-        x1 = np.cos(phi) ** 2
-        x2 = np.sin(2.0 * phi)
-        dx1 = -np.sin(2.0 * phi)
-        dx2 = 2.0 * np.cos(2.0 * phi)
-        w = self.w
-        if self.markovian:
-            val = gamma * float(np.sum(w * (X1_WEIGHT * x1 * x1 + X2_WEIGHT * x2 * x2)))
-            grad = gamma * w * 2.0 * (X1_WEIGHT * x1 * dx1 + X2_WEIGHT * x2 * dx2)
-        else:
-            y1 = w * x1
-            y2 = w * x2
-            r1 = _kernel_contract(self.kernel, y1)
-            r2 = _kernel_contract(self.kernel, y2)
-            val = X1_WEIGHT * float(y1 @ r1) + X2_WEIGHT * float(y2 @ r2)
-            grad = 2.0 * w * (X1_WEIGHT * r1 * dx1 + X2_WEIGHT * r2 * dx2)
-        return val, grad[1:-1]
-
     def value_grad(self, theta: np.ndarray):
         """Total objective (bath + weighted leakage) and its gradient."""
         phi = self.full_phases(theta)
-        val, grad = self.bath_value_grad(phi)
+        val, grad = bath_value_grad(phi, self.dt, self.prob.bath)
         pop = 0.0
         if self.leakage:
             pop, gpop = leakage_value_grad(phi, self.dt, self.prob.omega0)
@@ -322,8 +295,10 @@ def sweep_final_time(bath: BathModel, budget: EnergyBudget, t_f_list, opts: dict
 
     Points are processed in increasing ``t_f`` so each one warm-starts from
     the previous optimum (time-dilated, and padded with a hold at ``pi/2``).
-    Per-point failures are
-    recorded with ``converged = False`` instead of aborting the sweep.
+    A point whose design raises a numerical or validation error
+    (``ValueError``, ``ArithmeticError``) is recorded with
+    ``converged = False`` and the reason in ``error`` instead of aborting
+    the sweep; any other exception propagates.
     Duplicated final times reuse the first result so identical grid points
     yield identical records.
     """
@@ -358,7 +333,7 @@ def sweep_final_time(bath: BathModel, budget: EnergyBudget, t_f_list, opts: dict
             )
             if res.converged:
                 prev_best = res.pulse
-        except Exception:
+        except (ValueError, ArithmeticError) as exc:
             record = SweepRecord(
                 tf_over_tmin=t_f / t_min,
                 tc_over_tmin=bath.t_c / t_min,
@@ -366,6 +341,7 @@ def sweep_final_time(bath: BathModel, budget: EnergyBudget, t_f_list, opts: dict
                 energy=float("nan"),
                 max_phi=float("nan"),
                 converged=False,
+                error=f"{type(exc).__name__}: {exc}",
             )
         seen[t_f] = record
         results[i] = record

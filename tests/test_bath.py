@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 import xferopt as xo
+from xferopt.bath import kernel_product
 
 
 class TestCorrelation:
@@ -102,6 +103,22 @@ class TestNoiseSampling:
         assert abs(var_hat.mean() - sigma2) < 3 * se_var
         assert abs(lag_hat.mean() - rho * sigma2) < 3 * se_lag
 
+    def test_equals_scalar_recursion(self):
+        # b_0 = sigma xi_0, b_{k+1} = rho b_k + sigma sqrt(1 - rho^2) xi_{k+1},
+        # with the same Philox normals keyed by (seed, trajectory_index).
+        b = xo.BathModel(gamma=0.035, t_c=1.0)
+        grid = (np.arange(512) + 0.5) * 0.01
+        got = xo.sample_noise_trajectory(b, grid, seed=3, trajectory_index=11)
+        rng = np.random.Generator(np.random.Philox(key=np.array([3, 11], dtype=np.uint64)))
+        xi = rng.standard_normal(grid.size)
+        rho = np.exp(-0.01 / b.t_c)
+        sigma = np.sqrt(b.corr_norm * b.gamma / b.t_c)
+        want = np.empty(grid.size)
+        want[0] = sigma * xi[0]
+        for k in range(1, grid.size):
+            want[k] = rho * want[k - 1] + sigma * np.sqrt(1.0 - rho * rho) * xi[k]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_matches_kernel_at_grid_lags(self):
         # Exact recursion: lag-m ensemble covariance equals the kernel at m*dt.
         b = xo.BathModel(gamma=1.0, t_c=1.0)
@@ -115,6 +132,40 @@ class TestNoiseSampling:
             expected = xo.correlation(b, m * 0.1)
             se = np.std(samples[:, :-m] * samples[:, m:], ddof=1) / np.sqrt(samples[:, :-m].size)
             assert abs(cov - expected) < 4 * se
+
+
+def dense_kernel(b, n, dt):
+    """O(N^2) reference: the kernel matrix Phi(|t_j - t_k|) on the grid.
+
+    Lags are taken as |j - k| dt, exact integers times dt, so the reference
+    carries no rounding from differences of large times.
+    """
+    j = np.arange(n)
+    return xo.correlation(b, np.abs(j[:, None] - j[None, :]) * dt)
+
+
+class TestKernelProduct:
+    # t_c / dt from 1e-3 (rho = exp(-1000) underflows to 0) to 1e4 (rho -> 1).
+    @pytest.mark.parametrize("ratio", [1e-3, 0.3, 1.0, 40.0, 1e4])
+    @pytest.mark.parametrize("n", [2, 3, 321, 2049])
+    def test_matches_dense_reference(self, n, ratio):
+        rng = np.random.default_rng(n)
+        dt = 0.01
+        b = xo.BathModel(gamma=0.3, t_c=ratio * dt)
+        k = dense_kernel(b, n, dt)
+        y2 = np.column_stack((rng.uniform(0.0, 1.0, n), rng.standard_normal(n)))
+        got2 = kernel_product(b, dt, y2)
+        for j in range(2):
+            want = k @ y2[:, j]
+            assert got2.shape == y2.shape
+            assert np.max(np.abs(got2[:, j] - want)) <= 1e-12 * np.max(np.abs(want))
+            got1 = kernel_product(b, dt, y2[:, j])
+            assert got1.shape == (n,)
+            assert np.max(np.abs(got1 - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_markovian_rejected(self):
+        with pytest.raises(ValueError, match="t_c = 0"):
+            kernel_product(xo.BathModel(gamma=0.3, t_c=0.0), 0.1, np.ones(4))
 
 
 def test_bath_validation():

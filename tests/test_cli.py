@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import xferopt as xo
+import xferopt.optimizer
 from xferopt.cli import main
 from conftest import ENERGY, GAMMA
 
@@ -148,6 +152,22 @@ class TestSweep:
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == first
 
 
+    def test_failed_point_reason_on_stderr(self, capsys, tmp_path, monkeypatch):
+        def failing(prob, include_leakage):
+            raise FloatingPointError("overflow in the inner solve")
+
+        monkeypatch.setattr(xferopt.optimizer, "_optimize", failing)
+        code, _, err = run(capsys, [
+            "sweep", "--gamma", str(GAMMA), "--t-c", "0", "--energy", str(ENERGY),
+            "--t-f-list", "2.0", "--grid-n", "32", "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert "t_f/t_min = 2 failed: FloatingPointError: overflow in the inner solve" in err
+        sweep_csv = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert sweep_csv[0] == "tf_over_tmin,tc_over_tmin,infidelity,energy,max_phi,converged,pulse_file"
+        assert sweep_csv[1] == "2,0,nan,nan,nan,false,"
+
+
 class TestMarkovianCmd:
     def test_prints_profile_energy(self, capsys, tmp_path):
         out_file = tmp_path / "profile.csv"
@@ -190,3 +210,12 @@ class TestOracleCmd:
         ])
         lines = dict(ln.split(" = ") for ln in out.splitlines())
         assert float(lines["mean_fidelity"]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal takes most of a cold import; no code path needs it.
+    src = os.path.dirname(os.path.dirname(xo.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, xferopt; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

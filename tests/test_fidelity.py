@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import xferopt as xo
-from xferopt.fidelity import FreqGrid
+from xferopt import fidelity
+from xferopt.fidelity import bath_value_grad
 from conftest import ENERGY, GAMMA, random_pulse
 
 
@@ -81,23 +82,15 @@ class TestTimeFreqAgreement:
         assert xo.infidelity_freq(p, xo.BathModel(gamma=0.0, t_c=1.0)) == 0.0
         assert xo.infidelity_time(p, xo.BathModel(gamma=0.0, t_c=1.0)) == 0.0
 
-    def test_cutoff_mode_agrees_when_generous(self, budget):
-        p = xo.fastest_pulse(budget, 256)
-        b = xo.BathModel(gamma=0.05, t_c=1.0)
-        ref = xo.infidelity_time(p, b)
-        grid = FreqGrid(omega_max=600.0, base_panels=400, tail_rtol=1e-4)
-        assert xo.infidelity_freq(p, b, grid) == pytest.approx(ref, rel=1e-4)
-
-    def test_cutoff_too_small_raises(self, budget):
-        p = xo.fastest_pulse(budget, 256)
-        b = xo.BathModel(gamma=0.05, t_c=1.0)
-        with pytest.raises(ValueError, match="cutoff too small"):
-            xo.infidelity_freq(p, b, FreqGrid(omega_max=2.0))
-
-    def test_cutoff_mode_needs_memory(self, budget):
-        p = xo.fastest_pulse(budget, 64)
-        with pytest.raises(ValueError, match="t_c > 0"):
-            xo.infidelity_freq(p, xo.BathModel(gamma=0.1, t_c=0.0), FreqGrid(omega_max=10.0))
+    def test_chunked_transforms_match_one_slice(self, monkeypatch):
+        # Slices of 7 frequency nodes (ragged last slice) against one slice.
+        rng = np.random.default_rng(12)
+        p = random_pulse(rng, 200, 3.0)
+        for b in (xo.BathModel(gamma=0.05, t_c=0.7), xo.BathModel(gamma=0.05, t_c=0.0)):
+            monkeypatch.setattr(fidelity, "_FREQ_SLICE_BYTES", 1 << 40)
+            whole = xo.infidelity_freq(p, b)
+            monkeypatch.setattr(fidelity, "_FREQ_SLICE_BYTES", 7 * 16 * p.phases.size)
+            assert xo.infidelity_freq(p, b) == pytest.approx(whole, rel=1e-14, abs=0.0)
 
 
 class TestTimeDomain:
@@ -161,15 +154,60 @@ class TestGradient:
         p = xo.make_pulse(phases, 1.5)
         b = xo.BathModel(gamma=0.06, t_c=0.9)
         g = xo.infidelity_gradient(p, b)
-        from xferopt.fidelity import _integrands, _kernel_contract, _kernel_values, _trap_weights
-
-        x1, x2 = _integrands(p)
-        w = _trap_weights(p.phases.size, p.dt)
-        r2 = _kernel_contract(_kernel_values(b, p.phases.size, p.t_f), w * x2)
+        w = trap_weights(p.phases.size, p.dt)
+        r2 = dense_kernel(b, p.phases.size, p.dt) @ (w * np.sin(2 * p.phases))
         hold = np.arange(34, p.phases.size - 1)  # interior samples inside the hold
         np.testing.assert_allclose(g[hold - 1], -2.0 * w[hold] * r2[hold], rtol=1e-12)
         fd = self.finite_difference(p, b)
         np.testing.assert_allclose(g[hold - 1], fd[hold - 1], rtol=2e-4)
+
+
+def trap_weights(n, dt):
+    w = np.full(n, dt)
+    w[[0, -1]] *= 0.5
+    return w
+
+
+def dense_kernel(b, n, dt):
+    """O(N^2) kernel matrix Phi(|t_j - t_k|), with lags taken as |j - k| dt."""
+    j = np.arange(n)
+    return xo.correlation(b, np.abs(j[:, None] - j[None, :]) * dt)
+
+
+class TestBathValueGrad:
+    @staticmethod
+    def dense_value_grad(phases, dt, b):
+        """Dense O(N^2) quadratic form and its gradient, written out directly."""
+        w = trap_weights(phases.size, dt)
+        x1, x2 = np.cos(phases) ** 2, np.sin(2 * phases)
+        if b.is_markovian:
+            k = b.gamma * np.diag(1.0 / w)
+        else:
+            k = dense_kernel(b, phases.size, dt)
+        r1, r2 = k @ (w * x1), k @ (w * x2)
+        value = (2 / 3) * (w * x1) @ r1 + 0.5 * (w * x2) @ r2
+        grad = 2 * w * ((2 / 3) * r1 * -np.sin(2 * phases) + 0.5 * r2 * 2 * np.cos(2 * phases))
+        return value, grad[1:-1]
+
+    # t_c / dt from 1e-3 (rho underflows to 0) to 1e4 (rho -> 1); 0 is memoryless.
+    @pytest.mark.parametrize("ratio", [0.0, 1e-3, 0.3, 40.0, 1e4])
+    @pytest.mark.parametrize("n", [2, 3, 321, 2049])
+    def test_matches_dense_reference(self, n, ratio):
+        rng = np.random.default_rng(n)
+        t_f = 2.0
+        phases = np.concatenate(([0.0], rng.uniform(-1.0, 2.5, n - 2), [np.pi / 2]))
+        dt = t_f / (n - 1)
+        b = xo.BathModel(gamma=0.04, t_c=ratio * dt)
+        value, grad = bath_value_grad(phases, dt, b)
+        want_value, want_grad = self.dense_value_grad(phases, dt, b)
+        assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+        assert grad.shape == (n - 2,)
+        if n == 2:
+            return  # no interior phase, and a pulse needs at least 3 samples
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        p = xo.make_pulse(phases, t_f)
+        assert xo.bath_infidelity(p, b) == value
+        np.testing.assert_array_equal(xo.infidelity_gradient(p, b), grad)
 
 
 def test_breakdown_total():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import xferopt as xo
+from xferopt import optimizer
 from xferopt.optimizer import _Objective
 from conftest import ENERGY, GAMMA
 
@@ -137,6 +138,26 @@ class TestSweep:
         recs = xo.sweep_final_time(bath, xo.EnergyBudget(ENERGY), [2.0, 2.0], {"grid_n": 64})
         assert recs[0].infidelity == recs[1].infidelity
         np.testing.assert_array_equal(recs[0].pulse.phases, recs[1].pulse.phases)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(prob, include_leakage):
+            raise TypeError("unexpected argument")
+
+        monkeypatch.setattr(optimizer, "_optimize", broken)
+        bath = xo.BathModel(gamma=GAMMA, t_c=0.0)
+        with pytest.raises(TypeError, match="unexpected argument"):
+            xo.sweep_final_time(bath, xo.EnergyBudget(ENERGY), [2.0], {"grid_n": 32})
+
+    def test_numerical_error_recorded(self, monkeypatch):
+        def failing(prob, include_leakage):
+            raise ValueError("inner solve diverged")
+
+        monkeypatch.setattr(optimizer, "_optimize", failing)
+        bath = xo.BathModel(gamma=GAMMA, t_c=0.0)
+        (rec,) = xo.sweep_final_time(bath, xo.EnergyBudget(ENERGY), [2.0], {"grid_n": 32})
+        assert not rec.converged
+        assert rec.error == "ValueError: inner solve diverged"
+        assert np.isnan(rec.infidelity) and rec.pulse is None
 
     def test_below_tmin_rejected(self):
         bath = xo.BathModel(gamma=GAMMA, t_c=0.0)
