@@ -29,7 +29,7 @@ _CONFIG_KEYS = {
     "control.energy", "control.t_f", "control.grid_n",
     "system.omega0",
     "optimizer.leak_weight", "optimizer.energy_mode", "optimizer.starts",
-    "optimizer.max_outer", "optimizer.max_inner",
+    "optimizer.max_inner",
     "oracle.n_traj", "oracle.seed", "oracle.dt", "oracle.rwa", "oracle.include_even",
     "out.dir",
 }
@@ -126,10 +126,7 @@ def _problem_from(args, cfg, bath: BathModel) -> OptimizationProblem:
     kwargs = {}
     if starts:
         kwargs["starts"] = tuple(starts)
-    max_outer = _pick(None, cfg, "optimizer.max_outer")
     max_inner = _pick(None, cfg, "optimizer.max_inner")
-    if max_outer is not None:
-        kwargs["max_outer"] = int(max_outer)
     if max_inner is not None:
         kwargs["max_inner"] = int(max_inner)
     return OptimizationProblem(
@@ -357,3 +354,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -1,23 +1,35 @@
 """Energy-constrained minimisation of the transfer infidelity.
 
-The decision variables are the interior phase samples of a pulse on a fixed
-grid; the endpoints are pinned to ``phi(0) = 0`` and ``phi(t_f) = pi/2`` by
-the parameterisation, and the control energy ``integral V^2 = E`` is enforced
-by an augmented-Lagrangian outer loop around a quasi-Newton inner solver
-with analytic gradients.  No positivity is imposed on ``V``: overshooting
-solutions need sign changes on the return path.
+A pulse on ``N`` segments of width ``dt = t_f / N`` is fixed by its phase
+increments ``d_k = phi_k - phi_(k-1)``.  The endpoint constraint
+``sum d = pi/2`` and the energy constraint ``sum d^2 = E dt`` make the
+feasible set exactly an (N-2)-sphere in the hyperplane orthogonal to the
+all-ones vector, centred on the ramp ``c = pi / (2N)``, of radius
+
+    r = sqrt((E t_f - pi^2 / 4) / N),
+
+zero at ``t_f = t_min`` (the discrete Cauchy-Schwarz bound of
+:class:`xferopt.pulse.EnergyBudget`).  Each start is one L-BFGS-B run on the
+free ``w`` of ``d = c + r u``, ``u = P w / |P w|`` (``P`` removes the mean):
+every iterate meets both constraints to rounding, with exact endpoints.
+The ``at_most`` energy reading adds a radial ``s`` in ``[0, 1]`` under
+L-BFGS-B's bounds, ``d = c + r s u``.  No positivity is imposed on ``V``:
+overshooting solutions need sign changes on the return path.  This is
+Riemannian optimisation on a sphere (Absil, Mahony & Sepulchre,
+*Optimization Algorithms on Matrix Manifolds*, 2008).
 
 The objective is the bath infidelity (time-domain kernel form, or the
 memoryless closed form when ``t_c = 0``; both with their exact gradient from
 :func:`xferopt.fidelity.bath_value_grad`), optionally plus
-``leak_weight * |amp_ee(t_f)|^2`` from the exact even-sector propagation.
-The leakage gradient is exact as well: the closed-form derivative of each
-segment rotation between prefix states and suffix rows of one vectorised
-scan (:func:`xferopt.leakage.leakage_value_grad`).
+``leak_weight * |amp_ee(t_f)|^2`` from the exact even-sector propagation
+(:func:`xferopt.leakage.leakage_value_grad`).  Its interior-phase gradient
+reaches ``w`` by the chain rule: a reverse cumulative sum to the increments,
+then projection onto the sphere's tangent space.
 
-Multistart templates (linear ramp, rescaled memoryless-optimal profile, and
-an overshoot ansatz) mitigate the local minima of echo-like landscapes; the
-best start wins, with ties broken by the fixed start order.
+Multistart templates (the fastest ramp followed by a hold, the rescaled
+memoryless-optimal profile, and an overshoot ansatz) mitigate the local
+minima of echo-like landscapes; the best start wins, with ties broken by
+the fixed start order.
 """
 
 from __future__ import annotations
@@ -31,9 +43,12 @@ from .bath import BathModel
 from .fidelity import InfidelityBreakdown, bath_value_grad
 from .leakage import leakage_value_grad
 from .markovian import solve_markovian_profile
-from .pulse import HALF_PI, EnergyBudget, Pulse
+from .pulse import HALF_PI, EnergyBudget, Pulse, pulse_energy
 
 DEFAULT_STARTS = ("ramp", "markovian", "overshoot")
+# A solve converged when its projected gradient is at most this many times
+# gtol; solves of the acceptance, sweep and leakage problems end at <= 62x.
+_CONVERGED_GTOL_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -52,12 +67,9 @@ class OptimizationProblem:
     leak_weight: float = 0.5
     grid_n: int = 512
     starts: tuple = DEFAULT_STARTS
-    warm_starts: tuple = ()
     energy_mode: str = "equal"
-    max_outer: int = 30
     max_inner: int = 2000
     gtol: float | None = None
-    feas_tol: float = 1e-8
 
     def __post_init__(self):
         if self.t_f < self.budget.t_min * (1.0 - 1e-12):
@@ -106,7 +118,7 @@ class SweepRecord:
 
 
 class _Objective:
-    """Physical objective, its gradient, and the energy constraint."""
+    """Physical objective and its gradient over the interior phases."""
 
     def __init__(self, prob: OptimizationProblem, include_leakage: bool):
         self.prob = prob
@@ -132,19 +144,13 @@ class _Objective:
             grad = grad + self.prob.leak_weight * gpop
         return val, grad, pop
 
-    def energy_grad(self, theta: np.ndarray):
-        phi = self.full_phases(theta)
-        dphi = np.diff(phi)
-        g = float(np.sum(dphi * dphi) / self.dt)
-        ggrad = (2.0 / self.dt) * (dphi[:-1] - dphi[1:])
-        return g, ggrad
-
 
 def _template_phases(name: str, prob: OptimizationProblem) -> np.ndarray:
-    n = prob.grid_n
-    t = np.linspace(0.0, prob.t_f, n + 1)
+    t = np.linspace(0.0, prob.t_f, prob.grid_n + 1)
     if name == "ramp":
-        phi = HALF_PI * t / prob.t_f
+        # The fastest ramp, then a hold: the plain ramp over [0, t_f] is the
+        # sphere's centre and has no direction.
+        phi = HALF_PI * np.minimum(t / prob.budget.t_min, 1.0)
     elif name == "markovian":
         profile = solve_markovian_profile()
         rate = prob.budget.energy / profile.e_m
@@ -157,125 +163,129 @@ def _template_phases(name: str, prob: OptimizationProblem) -> np.ndarray:
         phi = np.where(t <= t_peak, peak * t / t_peak, peak + (HALF_PI - peak) * (t - t_peak) / (prob.t_f - t_peak))
     else:
         raise ValueError(f"unknown start template {name!r}")
-    phi = np.asarray(phi, dtype=float)
-    phi[0] = 0.0
-    phi[-1] = HALF_PI
-    return phi
+    return np.asarray(phi, dtype=float)
 
 
-def _start_list(prob: OptimizationProblem):
-    starts = [(name, _template_phases(name, prob)) for name in prob.starts]
-    t = np.linspace(0.0, prob.t_f, prob.grid_n + 1)
-    for j, warm in enumerate(prob.warm_starts):
-        # Two warm variants: the previous optimum dilated to the new window,
-        # and the previous optimum followed by a hold at its final phase.
-        for tag, phi in (
-            (f"warm{j}-dilated", warm.phase_at(t * (warm.t_f / prob.t_f))),
-            (f"warm{j}-hold", warm.phase_at(np.minimum(t, warm.t_f))),
-        ):
-            phi = np.asarray(phi, dtype=float).copy()
-            phi[0] = 0.0
-            phi[-1] = HALF_PI
-            starts.append((tag, phi))
-    return starts
+class _Sphere:
+    """The feasible set as a sphere of phase increments ``d = c + r s u``.
+
+    The variables are ``w`` (and ``s`` under ``at_most``); ``u`` is the unit
+    vector along the mean-free part of ``w``.
+    """
+
+    def __init__(self, prob: OptimizationProblem):
+        self.n = prob.grid_n
+        self.c = HALF_PI / self.n
+        self.r = float(np.sqrt(max(prob.budget.energy * prob.t_f - HALF_PI * HALF_PI, 0.0) / self.n))
+        self.at_most = prob.energy_mode == "at_most"
+
+    def start(self, phi0: np.ndarray) -> np.ndarray:
+        w = np.diff(phi0) - self.c
+        w -= w.mean()
+        w /= np.linalg.norm(w)
+        return np.append(w, 1.0) if self.at_most else w
+
+    def phases(self, x: np.ndarray):
+        """Full phases (exact endpoints), the unit direction and ``|P w|``."""
+        w, s = (x[:-1], x[-1]) if self.at_most else (x, 1.0)
+        v = w - w.mean()
+        v -= v.mean()  # the rounding of the first pass, when |P w| << |w|
+        norm = float(np.linalg.norm(v))
+        u = v / norm
+        phi = np.empty(self.n + 1)
+        phi[0] = 0.0
+        np.cumsum(self.c + (self.r * s) * u, out=phi[1:])
+        phi[-1] = HALF_PI
+        return phi, u, norm
+
+    def gradient(self, x: np.ndarray, u: np.ndarray, norm: float, g_interior: np.ndarray) -> np.ndarray:
+        """Chain rule from the interior-phase gradient to the variables."""
+        gd = np.zeros(self.n)
+        gd[:-1] = np.cumsum(g_interior[::-1])[::-1]
+        s = x[-1] if self.at_most else 1.0
+        gu = (self.r * s) * gd
+        gw = gu - u * (u @ gu)
+        gw -= gw.mean()
+        gw /= norm
+        return np.append(gw, self.r * (u @ gd)) if self.at_most else gw
+
+    def projected_gradient_norm(self, x: np.ndarray, norm: float, grad: np.ndarray) -> float:
+        """Largest entry of the gradient on the unit sphere and in the bound on ``s``."""
+        if not self.at_most:
+            return float(np.max(np.abs(grad))) * norm
+        s, gs = x[-1], grad[-1]
+        return max(float(np.max(np.abs(grad[:-1]))) * norm, abs(min(max(s - gs, 0.0), 1.0) - s))
 
 
-def _solve_from(obj: _Objective, phi0: np.ndarray, label: str) -> OptimizationResult:
+def _result(obj: _Objective, phi: np.ndarray, label: str, iterations: int, converged: bool,
+            history: tuple) -> OptimizationResult:
     prob = obj.prob
-    energy = prob.budget.energy
-    theta = phi0[1:-1].copy()
-
-    j0, _, _ = obj.value_grad(theta)
-    j_ref = max(abs(j0), 1e-12)
-    gtol = prob.gtol if prob.gtol is not None else (3e-8 if obj.leakage else 1e-9)
-
-    lam = 0.0
-    mu = 10.0
-    eta = 0.1
-    at_most = prob.energy_mode == "at_most"
-    history: list[float] = []
-    iterations = 0
-    inner_ok = False
-    converged = False
-
-    def al_fun(th):
-        val, grad, _ = obj.value_grad(th)
-        g, ggrad = obj.energy_grad(th)
-        ghat = g / energy - 1.0
-        gg = ggrad / energy
-        if at_most:
-            tshift = lam + mu * ghat
-            if tshift > 0.0:
-                pen = lam * ghat + 0.5 * mu * ghat * ghat
-                dpen = tshift * gg
-            else:
-                pen = -lam * lam / (2.0 * mu)
-                dpen = np.zeros_like(gg)
-        else:
-            pen = lam * ghat + 0.5 * mu * ghat * ghat
-            dpen = (lam + mu * ghat) * gg
-        return val / j_ref + pen, grad / j_ref + dpen
-
-    viol_prev = np.inf
-    for _ in range(prob.max_outer):
-        res = minimize(
-            al_fun,
-            theta,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": prob.max_inner, "maxfun": 3 * prob.max_inner,
-                     "ftol": 1e-16, "gtol": gtol, "maxcor": 30},
-        )
-        theta = res.x
-        iterations += int(res.nit)
-        inner_ok = res.status == 0
-        val, _, _ = obj.value_grad(theta)
-        history.append(min(history[-1], val) if history else val)
-        g, _ = obj.energy_grad(theta)
-        ghat = g / energy - 1.0
-        viol = max(ghat, 0.0) if (at_most and lam + mu * ghat <= 0.0) else abs(ghat)
-        if viol <= max(prob.feas_tol, eta):
-            if viol <= prob.feas_tol and inner_ok:
-                converged = True
-                break
-            lam = max(0.0, lam + mu * ghat) if at_most else lam + mu * ghat
-            eta = max(prob.feas_tol, 0.2 * eta)
-            if viol > 0.5 * viol_prev:
-                mu *= 8.0  # multiplier updates alone are stalling
-        else:
-            mu *= 8.0
-        viol_prev = viol
-
-    phi = obj.full_phases(theta)
     pulse = Pulse(t_f=prob.t_f, phases=phi)
-    val, _, pop = obj.value_grad(theta)
+    val, _, pop = obj.value_grad(phi[1:-1])
     leak_pen = prob.leak_weight * pop if obj.leakage else 0.0
-    bath_val = val - leak_pen
-    g, _ = obj.energy_grad(theta)
-    ghat = g / energy - 1.0
-    residual_energy = max(ghat, 0.0) if at_most else abs(ghat)
-    breakdown = InfidelityBreakdown(bath_infidelity=max(bath_val, 0.0), leakage_penalty=leak_pen)
+    used = pulse_energy(pulse)
+    excess = used / prob.budget.energy - 1.0
+    residual_energy = max(excess, 0.0) if prob.energy_mode == "at_most" else abs(excess)
+    breakdown = InfidelityBreakdown(bath_infidelity=max(val - leak_pen, 0.0), leakage_penalty=leak_pen)
     return OptimizationResult(
         pulse=pulse,
         breakdown=breakdown,
-        energy_used=g,
+        energy_used=used,
         constraint_residuals={"energy": residual_energy, "endpoint": abs(phi[-1] - HALF_PI)},
         iterations=iterations,
         converged=converged,
-        objective_history=tuple(history),
+        objective_history=history,
         start_label=label,
     )
 
 
+def _solve_from(obj: _Objective, sphere: _Sphere, phi0: np.ndarray, label: str) -> OptimizationResult:
+    prob = obj.prob
+    x0 = sphere.start(phi0)
+    phi, _, _ = sphere.phases(x0)
+    j0, _, pop0 = obj.value_grad(phi[1:-1])
+    # The start's bath infidelity sets the scale that gtol is relative to: a
+    # heavy leakage penalty at the start would make gtol loose at the optimum.
+    bath0 = j0 - prob.leak_weight * pop0
+    j_ref = max(bath0 if bath0 > 0.0 else abs(j0), 1e-12)
+    gtol = prob.gtol if prob.gtol is not None else (3e-8 if obj.leakage else 1e-9)
+    history = [j0]
+
+    def fun(x):
+        phi, u, norm = sphere.phases(x)
+        val, grad, _ = obj.value_grad(phi[1:-1])
+        return val / j_ref, sphere.gradient(x, u, norm, grad) / j_ref
+
+    def record(intermediate_result):
+        history.append(intermediate_result.fun * j_ref)
+
+    res = minimize(
+        fun,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(None, None)] * sphere.n + [(0.0, 1.0)] if sphere.at_most else None,
+        callback=record,
+        options={"maxiter": prob.max_inner, "maxfun": 3 * prob.max_inner,
+                 "ftol": 1e-16, "gtol": gtol, "maxcor": 30},
+    )
+    phi, _, norm = sphere.phases(res.x)
+    # L-BFGS-B also stops (on ftol, or in its line search) at optima whose
+    # gradient rounding keeps just above gtol, so the gradient itself decides.
+    converged = sphere.projected_gradient_norm(res.x, norm, res.jac) <= _CONVERGED_GTOL_FACTOR * gtol
+    return _result(obj, phi, label, int(res.nit), converged, tuple(history))
+
+
 def _optimize(prob: OptimizationProblem, include_leakage: bool) -> OptimizationResult:
     obj = _Objective(prob, include_leakage)
-    results = [_solve_from(obj, phi0, label) for label, phi0 in _start_list(prob)]
-    # Fixed index order breaks ties between equally good starts.
-    best = min(
-        range(len(results)),
-        key=lambda i: (not results[i].converged, results[i].breakdown.total, i),
-    )
-    return results[best]
+    sphere = _Sphere(prob)
+    if sphere.r == 0.0:
+        # t_f = t_min: the ramp is the only feasible pulse.
+        phi = np.linspace(0.0, HALF_PI, prob.grid_n + 1)
+        return _result(obj, phi, "ramp", 0, True, (obj.value_grad(phi[1:-1])[0],))
+    results = [_solve_from(obj, sphere, _template_phases(label, prob), label) for label in prob.starts]
+    # min keeps the first of equal keys: the fixed start order breaks ties.
+    return min(results, key=lambda res: (not res.converged, res.breakdown.total))
 
 
 def optimize_rwa(prob: OptimizationProblem) -> OptimizationResult:
@@ -293,56 +303,37 @@ def optimize_with_leakage(prob: OptimizationProblem) -> OptimizationResult:
 def sweep_final_time(bath: BathModel, budget: EnergyBudget, t_f_list, opts: dict | None = None):
     """Optimise over a list of final times and collect sweep records.
 
-    Points are processed in increasing ``t_f`` so each one warm-starts from
-    the previous optimum (time-dilated, and padded with a hold at ``pi/2``).
-    A point whose design raises a numerical or validation error
-    (``ValueError``, ``ArithmeticError``) is recorded with
-    ``converged = False`` and the reason in ``error`` instead of aborting
-    the sweep; any other exception propagates.
-    Duplicated final times reuse the first result so identical grid points
-    yield identical records.
+    Every point is designed from the problem's own start templates, so the
+    points do not depend on each other or on their order.  A point whose
+    design raises a numerical or validation error (``ValueError``,
+    ``ArithmeticError``) is recorded with ``converged = False`` and the
+    reason in ``error`` instead of aborting the sweep; any other exception
+    propagates.  Duplicated final times reuse the first result.
     """
-    opts = dict(opts or {})
     t_f_list = [float(t) for t in t_f_list]
     if any(t < budget.t_min * (1.0 - 1e-12) for t in t_f_list):
         raise ValueError("all sweep final times must be at least t_min")
-    order = sorted(range(len(t_f_list)), key=lambda i: t_f_list[i])
-    t_min = budget.t_min
-    results: dict[int, SweepRecord] = {}
-    seen: dict[float, SweepRecord] = {}
-    prev_best: Pulse | None = None
-    for i in order:
-        t_f = t_f_list[i]
-        if t_f in seen:
-            results[i] = seen[t_f]
-            continue
-        warm = ()
-        if prev_best is not None:
-            warm = (prev_best,)
-        prob = OptimizationProblem(bath=bath, budget=budget, t_f=t_f, warm_starts=warm, **opts)
-        try:
-            res = _optimize(prob, include_leakage=prob.omega0 > 0.0)
-            record = SweepRecord(
-                tf_over_tmin=t_f / t_min,
-                tc_over_tmin=bath.t_c / t_min,
-                infidelity=res.breakdown.total,
-                energy=res.energy_used,
-                max_phi=float(np.max(res.pulse.phases)),
-                converged=res.converged,
-                pulse=res.pulse,
-            )
-            if res.converged:
-                prev_best = res.pulse
-        except (ValueError, ArithmeticError) as exc:
-            record = SweepRecord(
-                tf_over_tmin=t_f / t_min,
-                tc_over_tmin=bath.t_c / t_min,
-                infidelity=float("nan"),
-                energy=float("nan"),
-                max_phi=float("nan"),
-                converged=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        seen[t_f] = record
-        results[i] = record
-    return [results[i] for i in range(len(t_f_list))]
+    records: dict[float, SweepRecord] = {}
+    for t_f in t_f_list:
+        if t_f not in records:
+            records[t_f] = _sweep_point(bath, budget, t_f, opts or {})
+    return [records[t_f] for t_f in t_f_list]
+
+
+def _sweep_point(bath: BathModel, budget: EnergyBudget, t_f: float, opts: dict) -> SweepRecord:
+    scaled = dict(tf_over_tmin=t_f / budget.t_min, tc_over_tmin=bath.t_c / budget.t_min)
+    prob = OptimizationProblem(bath=bath, budget=budget, t_f=t_f, **opts)
+    try:
+        res = _optimize(prob, include_leakage=prob.omega0 > 0.0)
+    except (ValueError, ArithmeticError) as exc:
+        nan = float("nan")
+        return SweepRecord(infidelity=nan, energy=nan, max_phi=nan, converged=False,
+                           error=f"{type(exc).__name__}: {exc}", **scaled)
+    return SweepRecord(
+        infidelity=res.breakdown.total,
+        energy=res.energy_used,
+        max_phi=float(np.max(res.pulse.phases)),
+        converged=res.converged,
+        pulse=res.pulse,
+        **scaled,
+    )

@@ -131,6 +131,13 @@ class TestOptimize:
         assert code == 2
         assert "unknown config" in err
 
+    def test_removed_max_outer_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"optimizer.max_outer": 30}))
+        code, _, err = run(capsys, ["optimize", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "unknown config keys: optimizer.max_outer" in err
+
 
 class TestSweep:
     def test_csv_schema_and_determinism(self, capsys, tmp_path):
@@ -219,3 +226,14 @@ def test_import_does_not_load_scipy_signal():
     code = "import sys, xferopt; print('scipy.signal' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["xferopt", "xferopt.cli"])
+def test_python_m_runs_the_cli(capsys, fast_pulse_file, module):
+    argv = ["evaluate", "--pulse", fast_pulse_file, "--gamma", str(GAMMA), "--t-c", "1"]
+    code, want, _ = run(capsys, argv)
+    src = os.path.dirname(os.path.dirname(xo.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-m", module] + argv, env=env, capture_output=True, text=True)
+    assert code == 0 and out.returncode == 0
+    assert out.stdout == want

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import xferopt as xo
 from xferopt import optimizer
-from xferopt.optimizer import _Objective
+from xferopt.optimizer import _Objective, _Sphere
 from conftest import ENERGY, GAMMA
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def small_problem(t_c=0.0, t_f=3.0, n=128, **kw):
@@ -31,7 +36,7 @@ class TestMinimumTime:
     def test_unique_feasible_point_is_the_ramp(self):
         # At t_f = t_min the ramp is the only pulse meeting both the endpoint
         # and the energy constraint; the solver must land on it.
-        prob = small_problem(t_f=1.0, n=128, starts=("ramp",), feas_tol=1e-13, gtol=1e-12, max_outer=60)
+        prob = small_problem(t_f=1.0, n=128, starts=("ramp",), gtol=1e-12)
         res = xo.optimize_rwa(prob)
         ramp = np.linspace(0.0, np.pi / 2, 129)
         assert np.max(np.abs(res.pulse.phases - ramp)) < 1e-6
@@ -61,6 +66,101 @@ class TestConstraints:
         r_le = xo.optimize_rwa(small_problem(t_f=3.0, n=96, energy_mode="at_most"))
         assert r_le.breakdown.total == pytest.approx(r_eq.breakdown.total, rel=1e-4)
         assert r_le.energy_used == pytest.approx(ENERGY, rel=1e-5)
+
+    def test_at_most_matches_equality_under_heavy_leakage_penalty(self):
+        # The leakage penalty of each start is about 10^6 times the optimum;
+        # both readings of the energy budget must still reach one optimum.
+        base = dict(t_c=10.0, t_f=3.0, n=256, omega0=np.pi, leak_weight=5000.0)
+        r_eq = xo.optimize_with_leakage(small_problem(**base))
+        r_le = xo.optimize_with_leakage(small_problem(energy_mode="at_most", **base))
+        assert r_eq.converged and r_le.converged
+        assert r_le.breakdown.total == pytest.approx(r_eq.breakdown.total, rel=1e-9)
+
+
+class TestEnergyResidual:
+    """Every design meets the energy budget to rounding."""
+
+    @staticmethod
+    def relative_residual(pulse):
+        return abs(xo.pulse_energy(pulse) / ENERGY - 1.0)
+
+    def test_sweep_records(self, sweep_records):
+        for recs in sweep_records.values():
+            for rec in recs:
+                assert self.relative_residual(rec.pulse) <= 1e-12
+                assert abs(rec.energy / ENERGY - 1.0) <= 1e-12
+
+    def test_leakage_pair(self, leakage_opt_pair):
+        for res in leakage_opt_pair:
+            assert self.relative_residual(res.pulse) <= 1e-12
+            assert res.constraint_residuals["energy"] <= 1e-12
+
+    def test_at_most(self):
+        res = xo.optimize_rwa(small_problem(t_c=10.0, t_f=6.0, n=96, energy_mode="at_most"))
+        assert res.converged
+        assert self.relative_residual(res.pulse) <= 1e-12
+
+
+class TestSphere:
+    """The map from solver variables to pulses, and its gradient."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(2, 3000),
+        tf_ratio=st.floats(1.0, 50.0),
+        data=st.data(),
+    )
+    def test_every_point_is_feasible(self, n, tf_ratio, data):
+        # A large common offset makes removing the mean cancel most digits.
+        z = data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+        offset = data.draw(st.floats(-1e3, 1e3))
+        scale = data.draw(st.sampled_from([1e-12, 1e-6, 1.0, 1e3]))
+        assume(np.ptp(z) > 1e-3)  # no underflow in |P w|^2
+        w = offset + scale * z
+        assume(np.ptp(w) > 0.0)
+        prob = small_problem(t_f=tf_ratio, n=n)
+        phi, _, _ = _Sphere(prob).phases(w)
+        assert phi[0] == 0.0
+        assert phi[-1] == np.pi / 2
+        used = xo.pulse_energy(xo.make_pulse(phi, prob.t_f))
+        assert abs(used / ENERGY - 1.0) <= 1e-13
+
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(3, 300),
+        tf_ratio=st.floats(1.01, 10.0),
+        t_c=st.sampled_from([0.0, 0.3, 10.0]),
+        omega0=st.sampled_from([0.0, 2.0]),
+        at_most=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_gradient_matches_central_differences(self, n, tf_ratio, t_c, omega0, at_most, seed):
+        prob = small_problem(t_c=t_c, t_f=tf_ratio, n=n, omega0=omega0,
+                             energy_mode="at_most" if at_most else "equal")
+        obj = _Objective(prob, include_leakage=True)
+        sphere = _Sphere(prob)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n)
+        tangent = rng.normal(size=n)  # mean-free and orthogonal to u
+        tangent -= tangent.mean()
+        u = (x - x.mean()) / np.linalg.norm(x - x.mean())
+        tangent -= u * (u @ tangent)
+        # Any direction: its mean and radial parts must have zero derivative.
+        steps = [tangent, rng.normal(size=n)]
+        if at_most:
+            x = np.append(x, rng.uniform(0.2, 0.8))
+            steps = [np.append(step, rng.normal()) for step in steps]
+
+        def f(y):
+            phi, _, _ = sphere.phases(y)
+            return obj.value_grad(phi[1:-1])[0]
+
+        phi, u, norm = sphere.phases(x)
+        grad = sphere.gradient(x, u, norm, obj.value_grad(phi[1:-1])[1])
+        h = 1e-5
+        for step in steps:
+            fd = (f(x + h * step) - f(x - h * step)) / (2 * h)
+            assert grad @ step == pytest.approx(fd, rel=1e-6, abs=1e-9 * f(x))
 
 
 class TestDeterminism:
@@ -121,6 +221,31 @@ def test_overshoot_appears_for_long_memory():
     assert np.max(res.pulse.phases) > np.pi / 2 + 0.01
     fast = xo.fastest_pulse(xo.EnergyBudget(ENERGY), 192)
     assert res.breakdown.total < 0.7 * xo.infidelity_time(fast, prob.bath)
+
+
+def test_every_start_converges_to_one_optimum():
+    # L-BFGS-B ends some of these starts in its line search, at an optimum it
+    # cannot improve in floating point; the projected gradient still counts
+    # them as converged.
+    base = dict(t_c=10.0, t_f=10.0, n=512)
+    results = [xo.optimize_rwa(small_problem(starts=(label,), **base)) for label in optimizer.DEFAULT_STARTS]
+    best = min(r.breakdown.total for r in results)
+    for res in results:
+        assert res.converged
+        assert res.breakdown.total == pytest.approx(best, rel=1e-12)
+
+
+class TestFastestIsNotOptimal:
+    """The abstract: the fastest transfer is never optimal for a given energy."""
+
+    @pytest.mark.parametrize("tc_over_tmin", [0.0, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0])
+    def test_one_percent_more_time_beats_the_fastest_pulse(self, tc_over_tmin):
+        budget = xo.EnergyBudget(ENERGY)
+        bath = xo.BathModel(gamma=GAMMA, t_c=tc_over_tmin * budget.t_min)
+        res = xo.optimize_rwa(xo.OptimizationProblem(bath=bath, budget=budget, t_f=1.01 * budget.t_min, grid_n=512))
+        fastest = xo.bath_infidelity(xo.fastest_pulse(budget, 512), bath)
+        assert res.converged
+        assert res.breakdown.total <= 0.98 * fastest
 
 
 class TestSweep:
