@@ -28,7 +28,8 @@ since ``L^{-1}`` holds ``rho^(j-k)`` on and below the diagonal.  A kernel
 product is therefore two banded triangular solves, O(N) and without a
 kernel table.  The same factor generates the stationary Ornstein-Uhlenbeck
 samples: ``b = L^{-1} d`` with ``d_0 = sigma xi_0`` and
-``d_k = sigma sqrt(1 - rho^2) xi_k``.  Both go through :func:`_exp_solve`.
+``d_k = sigma sqrt(1 - rho^2) xi_k``, one column per trajectory.  Both go
+through :func:`_exp_solve`.
 """
 
 from __future__ import annotations
@@ -87,17 +88,19 @@ def spectrum(b: BathModel, omega):
     return float(out) if out.ndim == 0 else out
 
 
-def _exp_solve(rho: float, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+def _exp_solve(rho: float, rhs: np.ndarray, transpose: bool = False, overwrite: bool = False) -> np.ndarray:
     """Solve ``(I - rho S) x = rhs``, or its transpose, along the first axis.
 
     ``rhs`` is 1-d or has one column per right-hand side.  Forward (or, with
     ``transpose``, backward) substitution of the recursion
-    ``x_k = rhs_k + rho x_{k-1}``.
+    ``x_k = rhs_k + rho x_{k-1}``, one column at a time, so each column's
+    result does not depend on the others.  With ``overwrite`` a
+    Fortran-ordered ``rhs`` is solved in place.
     """
     band = np.empty((2, rhs.shape[0]))
     band[0] = 1.0  # unit diagonal, not referenced with diag="U"
     band[1] = -rho
-    x, info = dtbtrs(band, rhs, uplo="L", trans="T" if transpose else "N", diag="U")
+    x, info = dtbtrs(band, rhs, uplo="L", trans="T" if transpose else "N", diag="U", overwrite_b=overwrite)
     if info != 0:
         raise RuntimeError(f"banded triangular solve failed: LAPACK dtbtrs info = {info}")
     return x
@@ -126,6 +129,46 @@ def _check_uniform_grid(grid: np.ndarray) -> float:
     return float(dt[0])
 
 
+def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, count: int) -> np.ndarray:
+    """Noise of trajectories ``first ... first + count - 1`` on ``m`` steps of ``dt``.
+
+    Returns a time-major ``(m, count)`` array whose column ``j`` belongs to
+    trajectory ``first + j``: for ``t_c > 0`` the stationary
+    Ornstein-Uhlenbeck samples of :func:`sample_noise_trajectory`, for
+    ``t_c = 0`` white noise of variance ``2 corr_norm gamma / dt`` per step;
+    zeros, without draws, for ``gamma = 0``.  Each column's normals come
+    from a Philox stream keyed by ``(seed, first + j)`` at counter 0, so a
+    column is bitwise the same whatever block it is drawn in.  One bit
+    generator is re-keyed per trajectory (constructing one costs more than
+    drawing its normals), the scaling is in place, and the OU recursion is
+    one multi-column banded solve on the same memory.
+    """
+    if seed < 0 or first < 0:
+        raise ValueError("seed and trajectory indices must be nonnegative")
+    if b.gamma == 0.0:
+        return np.zeros((m, count))
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    # A fresh Philox(key=[seed, index]): counter 0 and an empty buffer.
+    key = np.array([seed, first], dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    xi = np.empty((count, m))
+    for j in range(count):
+        key[1] = first + j
+        bits.state = state
+        rng.standard_normal(out=xi[j])
+    if b.is_markovian:
+        xi *= np.sqrt(2.0 * b.corr_norm * b.gamma / dt)
+        return xi.T
+    rho = np.exp(-dt / b.t_c)
+    sigma = np.sqrt(b.corr_norm * b.gamma / b.t_c)
+    start = sigma * xi[:, 0]
+    xi *= sigma * np.sqrt(1.0 - rho * rho)
+    xi[:, 0] = start
+    return _exp_solve(rho, xi.T, overwrite=True)
+
+
 def sample_noise_trajectory(b: BathModel, grid, seed: int, trajectory_index: int = 0) -> np.ndarray:
     """Stationary Ornstein-Uhlenbeck noise values on a uniform time grid.
 
@@ -135,7 +178,8 @@ def sample_noise_trajectory(b: BathModel, grid, seed: int, trajectory_index: int
     ``sigma^2 = corr_norm * gamma / t_c``, so the ensemble statistics match
     :func:`correlation` exactly at the grid lags.  Normals come from a
     counter-based Philox generator keyed by ``(seed, trajectory_index)``;
-    the result is bitwise reproducible regardless of evaluation order.
+    the result is bitwise reproducible regardless of evaluation order, and
+    equals that trajectory's column of any :func:`sample_noise_block`.
 
     Requires ``t_c > 0`` and grid spacing ``dt <= t_c / 10``.
     """
@@ -147,10 +191,4 @@ def sample_noise_trajectory(b: BathModel, grid, seed: int, trajectory_index: int
         raise ValueError(f"grid too coarse: dt = {dt} exceeds t_c/10 = {b.t_c / 10.0}")
     if seed < 0 or trajectory_index < 0:
         raise ValueError("seed and trajectory_index must be nonnegative")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, trajectory_index], dtype=np.uint64)))
-    xi = rng.standard_normal(grid.size)
-    rho = np.exp(-dt / b.t_c)
-    sigma = np.sqrt(b.corr_norm * b.gamma / b.t_c)
-    d = (sigma * np.sqrt(1.0 - rho * rho)) * xi
-    d[0] = sigma * xi[0]
-    return _exp_solve(rho, d)
+    return sample_noise_block(b, dt, grid.size, seed, trajectory_index, 1)[:, 0]

@@ -25,7 +25,13 @@ corrected) and ``B`` (transferred), the six-state mean per trajectory is
 
 Trajectories are keyed by a counter-based generator on
 ``(seed, trajectory index)`` and accumulated chunk-by-chunk in fixed index
-order, so results are bitwise reproducible.
+order, so results are bitwise reproducible.  Each chunk draws its noise as
+one time-major block (:func:`xferopt.bath.sample_noise_block`), and the step
+loop advances all of the chunk's trajectories at once.  Under RWA the
+undriven even sector is a pure phase, so it is computed once after the loop
+as ``exp(i dt sum_k (omega0 + b_k))`` from the running noise sum, not as a
+product of per-step exponentials.  A trajectory's fidelity does not depend
+on the chunk it falls in.
 """
 
 from __future__ import annotations
@@ -34,12 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathModel, sample_noise_trajectory
+from .bath import BathModel, sample_noise_block
 from .fidelity import bath_infidelity
 from .leakage import segment_rotation
 from .pulse import Pulse
 
 NORM_TOL = 1e-8
+# Largest noise block one chunk may hold (steps x trajectories x 8 bytes);
+# the default chunk at 512 steps needs 16 MiB.
+_NOISE_BLOCK_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -94,54 +103,49 @@ def _resolve_steps(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig):
     return per_segment, p.dt / per_segment
 
 
-def _chunk_fidelities(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig,
-                      v_steps: np.ndarray, dt: float, i0: int, n: int) -> np.ndarray:
+def _chunk_amplitudes(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig,
+                      v_steps: np.ndarray, dt: float, first: int, count: int):
+    """Ground (frame-corrected) and transferred amplitudes of one chunk."""
     m = v_steps.size
-    t_f = p.t_f
-    noise = np.empty((n, m))
-    if b.gamma == 0.0:
-        noise.fill(0.0)
-    elif b.is_markovian:
-        sigma = np.sqrt(2.0 * b.corr_norm * b.gamma / dt)
-        for j in range(n):
-            rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, i0 + j], dtype=np.uint64)))
-            noise[j] = sigma * rng.standard_normal(m)
-    else:
-        grid = (np.arange(m) + 0.5) * dt
-        for j in range(n):
-            noise[j] = sample_noise_trajectory(b, grid, cfg.seed, i0 + j)
+    noise = sample_noise_block(b, dt, m, cfg.seed, first, count)
 
     # Odd sector from |e1 g2>: want the transferred amplitude <g1 e2|psi>.
-    v0 = np.zeros(n, dtype=complex)
-    v1 = np.ones(n, dtype=complex)
-    # Even sector from |g1 g2>.
-    u0 = np.ones(n, dtype=complex)
-    u1 = np.zeros(n, dtype=complex)
-    track_even = cfg.include_even
+    v0 = np.zeros(count, dtype=complex)
+    v1 = np.ones(count, dtype=complex)
+    # Even sector from |g1 g2>; under RWA only the noise sum enters its phase.
+    u0 = np.ones(count, dtype=complex)
+    u1 = np.zeros(count, dtype=complex)
+    drive_even = cfg.include_even and not cfg.rwa
+    z_sum = np.zeros(count)
+    z = np.empty(count)
     for k in range(m):
-        z = noise[:, k]
+        np.copyto(z, noise[k])
         vk = v_steps[k]
         a00, a01 = segment_rotation(vk, z, dt)
         v0, v1 = a00 * v0 + a01 * v1, a01 * v0 + np.conj(a00) * v1
-        if track_even:
-            ze = omega0 + z
-            if cfg.rwa:
-                u0 = np.exp(1j * ze * dt) * u0
-            else:
-                e00, e01 = segment_rotation(vk, ze, dt)
-                u0, u1 = e00 * u0 + e01 * u1, e01 * u0 + np.conj(e00) * u1
+        if drive_even:
+            e00, e01 = segment_rotation(vk, omega0 + z, dt)
+            u0, u1 = e00 * u0 + e01 * u1, e01 * u0 + np.conj(e00) * u1
+        elif cfg.include_even:
+            z_sum += z
 
     norm_odd = np.abs(v0) ** 2 + np.abs(v1) ** 2
     if np.max(np.abs(norm_odd - 1.0)) > NORM_TOL:
         raise RuntimeError("odd-sector norm drifted beyond tolerance")
-    if track_even:
-        norm_even = np.abs(u0) ** 2 + np.abs(u1) ** 2
-        if np.max(np.abs(norm_even - 1.0)) > NORM_TOL:
-            raise RuntimeError("even-sector norm drifted beyond tolerance")
-        amp_ground = np.exp(-1j * omega0 * t_f) * u0
-    else:
-        amp_ground = np.ones(n, dtype=complex)
-    amp_transfer = v0
+    if not cfg.include_even:
+        return np.ones(count, dtype=complex), v0
+    if not drive_even:
+        u0 = np.exp(1j * dt * (m * omega0 + z_sum))
+    norm_even = np.abs(u0) ** 2 + np.abs(u1) ** 2
+    if np.max(np.abs(norm_even - 1.0)) > NORM_TOL:
+        raise RuntimeError("even-sector norm drifted beyond tolerance")
+    return np.exp(-1j * omega0 * p.t_f) * u0, v0
+
+
+def _chunk_fidelities(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig,
+                      v_steps: np.ndarray, dt: float, first: int, count: int) -> np.ndarray:
+    """Six-state mean transfer fidelity of trajectories ``first ... first + count - 1``."""
+    amp_ground, amp_transfer = _chunk_amplitudes(p, b, omega0, cfg, v_steps, dt, first, count)
     return (np.abs(amp_ground) ** 2 + np.abs(amp_transfer) ** 2
             - np.imag(np.conj(amp_ground) * amp_transfer)) / 3.0
 
@@ -156,6 +160,12 @@ def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) 
     if omega0 < 0.0:
         raise ValueError("omega0 must be nonnegative")
     per_segment, dt = _resolve_steps(p, b, omega0, cfg)
+    m = p.n_segments * per_segment
+    chunk = min(cfg.chunk_size, cfg.n_traj)
+    if m * chunk * 8 > _NOISE_BLOCK_BYTES:
+        raise ValueError(
+            f"oracle step grid too fine: {m} steps x {chunk} trajectories per chunk exceed the "
+            f"{_NOISE_BLOCK_BYTES // (1 << 20)} MiB noise-block limit; use a larger dt or a smaller chunk_size")
     v_steps = np.repeat(p.amplitudes(), per_segment)
 
     fsum = 0.0

@@ -141,6 +141,7 @@ def test_criterion_09_corrector_scaling():
         assert slope == pytest.approx(-1.0, abs=0.05), f"slope {slope:.4f}"
 
 
+@pytest.mark.slow
 def test_criterion_10_oracle_equivalence(budget):
     with criterion(10, "Monte-Carlo matches the second-order prediction (3 shapes, "
                        "<= 15% shape spread, quadratic coupling growth)"):

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
 import xferopt as xo
-from xferopt.bath import kernel_product
+from xferopt.bath import kernel_product, sample_noise_block
 
 
 class TestCorrelation:
@@ -132,6 +134,60 @@ class TestNoiseSampling:
             expected = xo.correlation(b, m * 0.1)
             se = np.std(samples[:, :-m] * samples[:, m:], ddof=1) / np.sqrt(samples[:, :-m].size)
             assert abs(cov - expected) < 4 * se
+
+
+def fused_multiply_add(a, b, c):
+    """``a * b + c`` rounded once, as an FMA instruction computes it."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+class TestNoiseBlock:
+    """Each column of a block against a fresh Philox stream and the written-out noise."""
+
+    @staticmethod
+    def fresh_normals(seed, index, m):
+        return np.random.Generator(np.random.Philox(key=[seed, index])).standard_normal(m)
+
+    @pytest.mark.parametrize("first", [0, 5])
+    def test_ou_columns_bitwise(self, first):
+        b = xo.BathModel(gamma=0.035, t_c=1.0)
+        dt, m, seed, count = 0.01, 64, 3, 4
+        block = sample_noise_block(b, dt, m, seed, first, count)
+        assert block.shape == (m, count)
+        rho = np.exp(-dt / b.t_c)
+        sigma = np.sqrt(b.corr_norm * b.gamma / b.t_c)
+        innovation = sigma * np.sqrt(1.0 - rho * rho)
+        for j in range(count):
+            d = innovation * self.fresh_normals(seed, first + j, m)
+            d[0] = sigma * self.fresh_normals(seed, first + j, 1)[0]
+            # x_k = rho x_{k-1} + d_k.  The LAPACK substitution may fuse the
+            # multiply-add or not, depending on the BLAS kernel; the column
+            # must equal one of the two roundings bit for bit.
+            plain, fused = d.copy(), d.copy()
+            for k in range(1, m):
+                plain[k] = rho * plain[k - 1] + d[k]
+                fused[k] = fused_multiply_add(rho, fused[k - 1], d[k])
+            col = block[:, j]
+            assert np.array_equal(col, plain) or np.array_equal(col, fused), j
+
+    @pytest.mark.parametrize("first", [0, 5])
+    def test_white_columns_bitwise(self, first):
+        b = xo.BathModel(gamma=0.04, t_c=0.0)
+        dt, m, seed, count = 0.01, 64, 3, 4
+        block = sample_noise_block(b, dt, m, seed, first, count)
+        scale = np.sqrt(2.0 * b.corr_norm * b.gamma / dt)
+        for j in range(count):
+            assert np.array_equal(block[:, j], scale * self.fresh_normals(seed, first + j, m)), j
+
+    def test_one_column_is_a_trajectory(self):
+        b = xo.BathModel(gamma=0.035, t_c=1.0)
+        grid = (np.arange(512) + 0.5) * 0.01
+        block = sample_noise_block(b, 0.01, 512, 3, 9, 4)
+        assert np.array_equal(block[:, 2], xo.sample_noise_trajectory(b, grid, seed=3, trajectory_index=11))
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_noise_block(xo.BathModel(gamma=0.1, t_c=1.0), 0.01, 8, 0, -1, 2)
 
 
 def dense_kernel(b, n, dt):

@@ -218,6 +218,14 @@ class TestOracleCmd:
         lines = dict(ln.split(" = ") for ln in out.splitlines())
         assert float(lines["mean_fidelity"]) == pytest.approx(1.0, abs=1e-10)
 
+    def test_oversized_step_grid_rejected(self, capsys, fast_pulse_file):
+        code, out, err = run(capsys, [
+            "oracle", "--pulse", fast_pulse_file, "--gamma", "0.04", "--t-c", "0", "--dt", "1e-9",
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: oracle step grid too fine:") and "256 MiB" in err
+
 
 def test_import_does_not_load_scipy_signal():
     # scipy.signal takes most of a cold import; no code path needs it.

@@ -248,6 +248,25 @@ class TestFastestIsNotOptimal:
         assert res.breakdown.total <= 0.98 * fastest
 
 
+class TestContinuumLimit:
+    """The memoryless design converges as O(dt^2) to the variational optimum."""
+
+    def test_second_order_convergence_to_the_profile(self, profile):
+        budget = xo.EnergyBudget(ENERGY)
+        bath = xo.BathModel(gamma=GAMMA, t_c=0.0)
+        values = []
+        for n in (1024, 2048, 4096, 8192):
+            res = xo.optimize_rwa(xo.OptimizationProblem(bath=bath, budget=budget, t_f=12.0, grid_n=n))
+            assert res.converged
+            values.append(res.breakdown.total)
+        diffs = np.diff(values)
+        for coarse, fine in zip(diffs[:-1], diffs[1:]):
+            assert coarse / fine == pytest.approx(4.0, abs=0.01)
+        richardson = (4.0 * values[-1] - values[-2]) / 3.0
+        limit = GAMMA * profile.e_m ** 2 / ENERGY
+        assert richardson == pytest.approx(limit, rel=1e-9)
+
+
 class TestSweep:
     def test_monotone_markovian_mini_sweep(self):
         bath = xo.BathModel(gamma=GAMMA, t_c=0.0)
