@@ -129,7 +129,8 @@ def _check_uniform_grid(grid: np.ndarray) -> float:
     return float(dt[0])
 
 
-def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, count: int) -> np.ndarray:
+def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, count: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Noise of trajectories ``first ... first + count - 1`` on ``m`` steps of ``dt``.
 
     Returns a time-major ``(m, count)`` array whose column ``j`` belongs to
@@ -141,19 +142,22 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
     column is bitwise the same whatever block it is drawn in.  One bit
     generator is re-keyed per trajectory (constructing one costs more than
     drawing its normals), the scaling is in place, and the OU recursion is
-    one multi-column banded solve on the same memory.
+    one multi-column banded solve on the same memory.  ``out``, a
+    C-contiguous ``(count, m)`` array whose contents are overwritten, lets a
+    caller reuse one buffer across blocks; the result is then its transpose.
     """
     if seed < 0 or first < 0:
         raise ValueError("seed and trajectory indices must be nonnegative")
+    xi = np.empty((count, m)) if out is None else out
     if b.gamma == 0.0:
-        return np.zeros((m, count))
+        xi.fill(0.0)
+        return xi.T
     bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
     # A fresh Philox(key=[seed, index]): counter 0 and an empty buffer.
     key = np.array([seed, first], dtype=np.uint64)
     state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    xi = np.empty((count, m))
     for j in range(count):
         key[1] = first + j
         bits.state = state

@@ -27,8 +27,14 @@ production path: :func:`bath_value_grad` computes the quadratic form and its
 exact gradient in one pass, with both integrands as the two columns of one
 O(N) kernel product (:func:`xferopt.bath.kernel_product`), or with the
 memoryless closed form when ``t_c = 0``.  Every time-domain entry point and
-the optimiser call it.  The frequency route builds its transform matrix in
-slices of frequency nodes, so its memory stays bounded at any grid size.
+the optimiser call it.  The frequency route factors each transform in two
+levels: with sample index ``k = q B + r`` and ``B ~ sqrt(N)``, a table of
+``e^{-i omega r dt}`` (B entries per frequency) feeds one matrix product
+with the blocked samples of both integrands, and a table of
+``e^{-i omega q B dt}`` (N/B entries) combines the block sums, so a
+frequency node costs ~2 sqrt(N) complex exponentials instead of N.  The
+tables are built in slices of frequency nodes, so the memory stays bounded
+at any grid size.
 """
 
 from __future__ import annotations
@@ -126,23 +132,45 @@ def infidelity_gradient(p: Pulse, b: BathModel) -> np.ndarray:
     return bath_value_grad(p.phases, p.dt, b)[1]
 
 
-# Byte budget of one slice of the exp(-i omega t) matrix in the frequency path.
+# Byte budget of the phase tables of one slice of frequency nodes.
 _FREQ_SLICE_BYTES = 1 << 24
 
 
-def _finite_transforms(p: Pulse, omegas: np.ndarray):
-    """Trapezoid finite-time transforms of x1, x2 at the given frequencies."""
-    x1, x2 = _integrands(p.phases)
-    w = _trap_weights(p.phases.size, p.dt)
-    y1, y2 = w * x1, w * x2
-    t1 = np.empty(omegas.size, dtype=complex)
-    t2 = np.empty(omegas.size, dtype=complex)
-    rows = max(1, _FREQ_SLICE_BYTES // (16 * p.times.size))
+def _block_shape(n_samples: int):
+    """Block length ``B ~ sqrt(n)`` and block count ``Q`` of the two-level transform."""
+    block = int(np.ceil(np.sqrt(n_samples)))
+    return block, -(-n_samples // block)
+
+
+def _finite_transforms(phases: np.ndarray, dt: float, omegas: np.ndarray):
+    """Trapezoid finite-time transforms of x1, x2 of the grid phases at the given frequencies.
+
+    The samples sit at ``t_k = k dt``; with ``k = q B + r`` the transform
+    factors as ``T(w) = sum_q e^{-i w q B dt} sum_r y_{qB+r} e^{-i w r dt}``.
+    The inner sums of both integrands are one real-by-complex product of the
+    zero-padded ``(2Q, B)`` sample blocks with the ``(B, W)`` table of
+    ``e^{-i w r dt}``, the outer sum a row-wise dot with the ``(Q, W)`` table
+    of ``e^{-i w q B dt}``: ``W (B + Q)`` exponentials instead of ``W n``.
+    """
+    n = phases.size
+    block, count = _block_shape(n)
+    y = np.zeros((2, count * block))
+    y[:, :n] = _trap_weights(n, dt) * np.stack(_integrands(phases))
+    y = y.reshape(2 * count, block)
+    inner_t = np.arange(block) * dt
+    outer_t = np.arange(0, count * block, block) * dt
+    out = np.empty((2, omegas.size), dtype=complex)
+    rows = max(1, _FREQ_SLICE_BYTES // (16 * (block + count)))
     for lo in range(0, omegas.size, rows):
-        phase = np.exp(-1j * np.outer(omegas[lo : lo + rows], p.times))
-        t1[lo : lo + rows] = phase @ y1
-        t2[lo : lo + rows] = phase @ y2
-    return t1, t2
+        arg = -1j * omegas[lo : lo + rows]
+        inner = np.outer(inner_t, arg)
+        np.exp(inner, out=inner)
+        # Real (2Q, B) times complex (B, W) read as real (B, 2W): one GEMM.
+        sums = (y @ inner.view(float)).view(complex).reshape(2, count, arg.size)
+        outer = np.outer(outer_t, arg)
+        np.exp(outer, out=outer)
+        out[:, lo : lo + rows] = np.einsum("qw,sqw->sw", outer, sums)
+    return out[0], out[1]
 
 
 def modulation_spectrum(p: Pulse, omega):
@@ -153,7 +181,7 @@ def modulation_spectrum(p: Pulse, omega):
     scalar or an array of frequencies.
     """
     omegas = np.atleast_1d(np.asarray(omega, dtype=float))
-    t1, t2 = _finite_transforms(p, omegas)
+    t1, t2 = _finite_transforms(p.phases, p.dt, omegas)
     f = X1_WEIGHT * np.abs(t1) ** 2 + X2_WEIGHT * np.abs(t2) ** 2
     return float(f[0]) if np.isscalar(omega) or np.asarray(omega).ndim == 0 else f
 
@@ -229,7 +257,7 @@ def infidelity_freq(p: Pulse, b: BathModel, grid: FreqGrid | None = None) -> flo
         else:
             gvals = scale * np.sinh(r) / denom
 
-    t1, t2 = _finite_transforms(p, nodes)
+    t1, t2 = _finite_transforms(p.phases, dt, nodes)
     fvals = X1_WEIGHT * np.abs(t1) ** 2 + X2_WEIGHT * np.abs(t2) ** 2
     return 2.0 * float(np.sum(weights * gvals * fvals))
 

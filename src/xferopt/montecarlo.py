@@ -26,8 +26,9 @@ corrected) and ``B`` (transferred), the six-state mean per trajectory is
 Trajectories are keyed by a counter-based generator on
 ``(seed, trajectory index)`` and accumulated chunk-by-chunk in fixed index
 order, so results are bitwise reproducible.  Each chunk draws its noise as
-one time-major block (:func:`xferopt.bath.sample_noise_block`), and the step
-loop advances all of the chunk's trajectories at once.  Under RWA the
+one time-major block (:func:`xferopt.bath.sample_noise_block`) into a buffer
+shared by all chunks, and the step loop advances all of the chunk's
+trajectories at once.  Under RWA the
 undriven even sector is a pure phase, so it is computed once after the loop
 as ``exp(i dt sum_k (omega0 + b_k))`` from the running noise sum, not as a
 product of per-step exponentials.  A trajectory's fidelity does not depend
@@ -104,10 +105,15 @@ def _resolve_steps(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig):
 
 
 def _chunk_amplitudes(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig,
-                      v_steps: np.ndarray, dt: float, first: int, count: int):
-    """Ground (frame-corrected) and transferred amplitudes of one chunk."""
+                      v_steps: np.ndarray, dt: float, first: int, count: int,
+                      noise_buffer: np.ndarray | None = None):
+    """Ground (frame-corrected) and transferred amplitudes of one chunk.
+
+    ``noise_buffer``, if given, is the ``(count, m)`` array the chunk's
+    noise is drawn into (see :func:`xferopt.bath.sample_noise_block`).
+    """
     m = v_steps.size
-    noise = sample_noise_block(b, dt, m, cfg.seed, first, count)
+    noise = sample_noise_block(b, dt, m, cfg.seed, first, count, out=noise_buffer)
 
     # Odd sector from |e1 g2>: want the transferred amplitude <g1 e2|psi>.
     v0 = np.zeros(count, dtype=complex)
@@ -143,9 +149,10 @@ def _chunk_amplitudes(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig,
 
 
 def _chunk_fidelities(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig,
-                      v_steps: np.ndarray, dt: float, first: int, count: int) -> np.ndarray:
+                      v_steps: np.ndarray, dt: float, first: int, count: int,
+                      noise_buffer: np.ndarray | None = None) -> np.ndarray:
     """Six-state mean transfer fidelity of trajectories ``first ... first + count - 1``."""
-    amp_ground, amp_transfer = _chunk_amplitudes(p, b, omega0, cfg, v_steps, dt, first, count)
+    amp_ground, amp_transfer = _chunk_amplitudes(p, b, omega0, cfg, v_steps, dt, first, count, noise_buffer)
     return (np.abs(amp_ground) ** 2 + np.abs(amp_transfer) ** 2
             - np.imag(np.conj(amp_ground) * amp_transfer)) / 3.0
 
@@ -168,10 +175,12 @@ def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) 
             f"{_NOISE_BLOCK_BYTES // (1 << 20)} MiB noise-block limit; use a larger dt or a smaller chunk_size")
     v_steps = np.repeat(p.amplitudes(), per_segment)
 
+    noise_buffer = np.empty((chunk, m))
     fsum = 0.0
     fsq = 0.0
     for i0 in range(0, cfg.n_traj, cfg.chunk_size):
-        f = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, i0, min(cfg.chunk_size, cfg.n_traj - i0))
+        count = min(cfg.chunk_size, cfg.n_traj - i0)
+        f = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, i0, count, noise_buffer[:count])
         fsum += float(np.sum(f))
         fsq += float(np.sum(f * f))
     mean = fsum / cfg.n_traj

@@ -92,12 +92,11 @@ class TestNoiseSampling:
         b = xo.BathModel(gamma=0.4, t_c=2.0)
         n_traj = 100_000
         grid = np.arange(16) * (b.t_c / 10.0)
-        var_hat = np.empty(n_traj)
-        lag_hat = np.empty(n_traj)
-        for j in range(n_traj):
-            s = xo.sample_noise_trajectory(b, grid, seed=123, trajectory_index=j)
-            var_hat[j] = np.mean(s * s)
-            lag_hat[j] = np.mean(s[:-1] * s[1:])
+        # Row j is sample_noise_trajectory(b, grid, seed=123, trajectory_index=j),
+        # bit for bit (TestNoiseBlock), drawn in one call.
+        s = sample_noise_block(b, grid[1] - grid[0], grid.size, 123, 0, n_traj).T
+        var_hat = np.mean(s * s, axis=1)
+        lag_hat = np.mean(s[:, :-1] * s[:, 1:], axis=1)
         sigma2 = b.corr_norm * b.gamma / b.t_c
         rho = np.exp(-(grid[1] - grid[0]) / b.t_c)
         se_var = var_hat.std(ddof=1) / np.sqrt(n_traj)
@@ -126,9 +125,8 @@ class TestNoiseSampling:
         b = xo.BathModel(gamma=1.0, t_c=1.0)
         grid = np.arange(8) * 0.1
         n_traj = 60_000
-        samples = np.stack([
-            xo.sample_noise_trajectory(b, grid, seed=77, trajectory_index=j) for j in range(n_traj)
-        ])
+        # Row j is sample_noise_trajectory(b, grid, seed=77, trajectory_index=j).
+        samples = sample_noise_block(b, grid[1] - grid[0], grid.size, 77, 0, n_traj).T
         for m in (2, 5):
             cov = np.mean(samples[:, :-m] * samples[:, m:])
             expected = xo.correlation(b, m * 0.1)
@@ -184,6 +182,20 @@ class TestNoiseBlock:
         grid = (np.arange(512) + 0.5) * 0.01
         block = sample_noise_block(b, 0.01, 512, 3, 9, 4)
         assert np.array_equal(block[:, 2], xo.sample_noise_trajectory(b, grid, seed=3, trajectory_index=11))
+
+    @pytest.mark.parametrize("b", [
+        xo.BathModel(gamma=0.035, t_c=1.0), xo.BathModel(gamma=0.04, t_c=0.0), xo.BathModel(gamma=0.0, t_c=1.0),
+    ])
+    def test_reused_dirty_buffer(self, b):
+        # A buffer holding an earlier, larger block's noise and NaNs; the
+        # smaller block goes into its leading rows.
+        dt, m, seed = 0.01, 64, 3
+        buffer = np.empty((6, m))
+        sample_noise_block(b, dt, m, seed, 20, 6, out=buffer)
+        buffer[1:3] = np.nan
+        got = sample_noise_block(b, dt, m, seed, 2, 4, out=buffer[:4])
+        assert np.shares_memory(got, buffer)
+        assert np.array_equal(got, sample_noise_block(b, dt, m, seed, 2, 4))
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

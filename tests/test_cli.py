@@ -9,7 +9,7 @@ import pytest
 import xferopt as xo
 import xferopt.optimizer
 from xferopt.cli import main
-from conftest import ENERGY, GAMMA
+from conftest import ENERGY, GAMMA, random_pulse
 
 
 @pytest.fixture()
@@ -44,6 +44,16 @@ class TestEvaluate:
         ])
         rep = json.loads(out)
         assert rep["infidelity_freq"] == pytest.approx(rep["infidelity_time"], rel=1e-6)
+
+    def test_large_grid_paths_agree(self, capsys, tmp_path):
+        path = tmp_path / "large.csv"
+        xo.write_pulse_csv(random_pulse(np.random.default_rng(8192), 8192, 6.0, complete=True, scale=0.02), path)
+        code, out, _ = run(capsys, [
+            "evaluate", "--pulse", str(path), "--gamma", "0.05", "--t-c", "1.0", "--json",
+        ])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["infidelity_freq"] == pytest.approx(rep["infidelity_time"], rel=1e-9)
 
     def test_zero_gamma(self, capsys, fast_pulse_file):
         code, out, _ = run(capsys, [

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xferopt as xo
 from xferopt import fidelity
 from xferopt.fidelity import bath_value_grad
 from conftest import ENERGY, GAMMA, random_pulse
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 class TestModulationSpectrum:
@@ -83,14 +87,68 @@ class TestTimeFreqAgreement:
         assert xo.infidelity_time(p, xo.BathModel(gamma=0.0, t_c=1.0)) == 0.0
 
     def test_chunked_transforms_match_one_slice(self, monkeypatch):
-        # Slices of 7 frequency nodes (ragged last slice) against one slice.
+        # Slices of 13 frequency nodes (ragged last slice) against one slice.
         rng = np.random.default_rng(12)
         p = random_pulse(rng, 200, 3.0)
+        node_counts = []
+        transforms = fidelity._finite_transforms
+
+        def counting(phases, dt, omegas):
+            node_counts.append(omegas.size)
+            return transforms(phases, dt, omegas)
+
+        monkeypatch.setattr(fidelity, "_finite_transforms", counting)
         for b in (xo.BathModel(gamma=0.05, t_c=0.7), xo.BathModel(gamma=0.05, t_c=0.0)):
             monkeypatch.setattr(fidelity, "_FREQ_SLICE_BYTES", 1 << 40)
             whole = xo.infidelity_freq(p, b)
-            monkeypatch.setattr(fidelity, "_FREQ_SLICE_BYTES", 7 * 16 * p.phases.size)
+            # Slice rows are sized by the two table widths B + Q.
+            rows = 13
+            monkeypatch.setattr(fidelity, "_FREQ_SLICE_BYTES", rows * 16 * sum(fidelity._block_shape(p.phases.size)))
             assert xo.infidelity_freq(p, b) == pytest.approx(whole, rel=1e-14, abs=0.0)
+            assert node_counts[-1] > rows and node_counts[-1] % rows != 0
+
+    @given(
+        n=st.integers(2, 1500),
+        t_f=st.floats(0.1, 100.0),
+        tc_over_dt=st.one_of(st.just(0.0), st.floats(1e-3, 1e5)),
+        scale=st.floats(1e-2, 3.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @PROPERTY_SETTINGS
+    def test_property_paths_agree(self, n, t_f, tc_over_dt, scale, seed):
+        # t_c / dt spans rho -> 0 (the folded spectrum's flat branch) to rho -> 1.
+        p = random_pulse(np.random.default_rng(seed), n, t_f, scale=scale)
+        b = xo.BathModel(gamma=0.05, t_c=tc_over_dt * p.dt)
+        want = xo.bath_infidelity(p, b)
+        if b.is_markovian:
+            # A flat spectrum reproduces the form sum y_k^2 / dt, the
+            # memoryless closed form sum y_k^2 / w_k: they differ only at the
+            # two half-weight endpoints, each by gamma (dt/4) [(2/3) x1^2 + (1/2) x2^2].
+            ends = p.phases[[0, -1]]
+            want -= b.gamma * p.dt / 4.0 * np.sum((2 / 3) * np.cos(ends) ** 4 + 0.5 * np.sin(2 * ends) ** 2)
+        assert xo.infidelity_freq(p, b) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def direct_transforms(phases, dt, omegas):
+    """Explicit trapezoid sums ``sum_k w_k x(phi_k) e^{-i omega k dt}``."""
+    w = trap_weights(phases.size, dt)
+    phase = np.exp(-1j * np.outer(omegas, np.arange(phases.size) * dt))
+    return phase @ (w * np.cos(phases) ** 2), phase @ (w * np.sin(2 * phases))
+
+
+class TestBlockedTransform:
+    # N + 1 samples: the smallest grid, a ragged block, a prime, a perfect
+    # square, one past it, and the largest grid of the benchmark.
+    @pytest.mark.parametrize("n_samples", [2, 3, 17, 64, 65, 2049])
+    def test_matches_direct_sum(self, n_samples):
+        rng = np.random.default_rng(n_samples)
+        phases = np.concatenate(([0.0], np.cumsum(rng.normal(0.0, 0.3, n_samples - 1))))
+        dt = 2.5 / (n_samples - 1)
+        # One spectral period, the zero frequency and a node beyond the period.
+        omegas = np.concatenate((np.linspace(-np.pi / dt, np.pi / dt, 257), [0.0, 0.37, 1.7 * np.pi / dt]))
+        got = fidelity._finite_transforms(phases, dt, omegas)
+        for g, want in zip(got, direct_transforms(phases, dt, omegas)):
+            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestTimeDomain:

@@ -4,7 +4,10 @@ from scipy.linalg import expm
 
 import xferopt as xo
 from conftest import ENERGY, random_pulse
-from xferopt.leakage import leakage_value_grad
+from xferopt.leakage import leakage_value_grad, segment_rotation
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+SZ = np.diag([-1.0, 1.0])
 
 
 def fastest_leakage_closed_form(t_min=1.0):
@@ -12,6 +15,53 @@ def fastest_leakage_closed_form(t_min=1.0):
     w0 = np.pi / t_min
     om = np.hypot(v, w0)
     return v ** 2 / (v ** 2 + w0 ** 2) * np.sin(om * t_min) ** 2
+
+
+def rotation_matrix(a, b):
+    return np.array([[a, b], [b, np.conj(a)]])
+
+
+class TestSegmentRotation:
+    """The closed-form rotation against ``expm(-i dt (w sz + v sx))``."""
+
+    DT = 0.3
+
+    def test_arrays_with_zero_rate_entries(self):
+        # Omega = 0 at entries 0 and 4, among nonzero entries on either side.
+        v = np.array([0.0, 0.0, 1.3, -0.7, 0.0, 2.0, 1e-9])
+        w = np.array([0.0, 0.5, 0.0, 0.2, 0.0, -1.1, 0.0])
+        a, b = segment_rotation(v, w, self.DT)
+        assert a.shape == b.shape == v.shape
+        for k in range(v.size):
+            want = expm(-1j * self.DT * (w[k] * SZ + v[k] * SX))
+            assert np.max(np.abs(rotation_matrix(a[k], b[k]) - want)) <= 1e-14, k
+        np.testing.assert_array_equal(a[[0, 4]], 1.0)
+        np.testing.assert_array_equal(b[[0, 4]], 0.0)
+
+    @pytest.mark.parametrize("v, w", [(0.0, 0.0), (1.3, 0.0), (0.0, -0.4), (0.8, 2.0)])
+    def test_scalar_inputs(self, v, w):
+        a, b = segment_rotation(v, w, self.DT)
+        want = expm(-1j * self.DT * (w * SZ + v * SX))
+        assert np.max(np.abs(rotation_matrix(a, b) - want)) <= 1e-14
+
+    def test_broadcast_scalar_drive(self):
+        # The oracle's use: one drive value against a vector of noise values.
+        w = np.array([-0.3, 0.0, 0.1, 2.5])
+        a, b = segment_rotation(0.0, w, self.DT)
+        for k in range(w.size):
+            want = expm(-1j * self.DT * w[k] * SZ)
+            assert np.max(np.abs(rotation_matrix(a[k], b[k]) - want)) <= 1e-14, k
+
+    def test_derivative_matches_central_differences(self):
+        # Omega dt from 0 through the series branch (below 0.1) to ~1.
+        v = np.array([0.0, 0.0, 1e-4, 0.05, 0.2, 0.34, -0.4, 1.5, 3.0])
+        w = np.array([0.0, 0.7, 0.0, 0.1, 0.0, 0.05, 0.3, -2.0, 0.0])
+        a, b, da, db = segment_rotation(v, w, self.DT, derivative=True)
+        np.testing.assert_array_equal(a, segment_rotation(v, w, self.DT)[0])
+        h = 1e-6
+        up, dn = segment_rotation(v + h, w, self.DT), segment_rotation(v - h, w, self.DT)
+        for got, hi, lo in ((da, up[0], dn[0]), (db, up[1], dn[1])):
+            assert np.max(np.abs(got - (hi - lo) / (2 * h))) <= 1e-9
 
 
 class TestPropagateEven:

@@ -28,6 +28,17 @@ class TestIdealTransfer:
         assert est.mean == pytest.approx(1.0, abs=1e-10)
         assert est.stderr < 1e-12
 
+    def test_flat_stretch_unit_fidelity(self, budget):
+        # V = 0 on the hold and no noise: every step of the hold has
+        # Omega = 0 in the odd sector.  Chunks of 3 leave a ragged last one.
+        t = np.linspace(0.0, 3.0, 97)
+        phases = np.interp(t, [0.0, 1.0, 2.0, 3.0], [0.0, np.pi / 4, np.pi / 4, np.pi / 2])
+        p = xo.make_pulse(phases, 3.0)
+        assert np.any(p.amplitudes() == 0.0)
+        b = xo.BathModel(gamma=0.0, t_c=1.0)
+        est = xo.simulate_transfer(p, b, 0.0, xo.OracleConfig(n_traj=8, seed=0, chunk_size=3))
+        assert est.mean == pytest.approx(1.0, abs=1e-12)
+
     def test_partial_rotation_closed_form(self):
         # gamma = 0, phi(t_f) = pi/4: the six-state average reduces to
         # (1 + sin(phi_f) + sin^2(phi_f)) / 3.
@@ -163,6 +174,19 @@ class TestChunking:
                 for first in range(0, n, size)
             ])
             assert np.array_equal(parts, whole[:n]), size
+
+
+    @pytest.mark.parametrize("t_c", [1.0, 0.0])
+    def test_ragged_last_chunk(self, budget, t_c):
+        # Chunks of 7 share one noise buffer; the last chunk of 1 uses its
+        # leading row.  The mean equals that of one chunk of all 22.
+        p = xo.fastest_pulse(budget, 64)
+        b = xo.BathModel(gamma=0.05, t_c=t_c)
+        cfg = xo.OracleConfig(n_traj=22, seed=13, chunk_size=7)
+        v_steps, dt = chunk_setup(p, b, 0.0, cfg)
+        whole = _chunk_fidelities(p, b, 0.0, cfg, v_steps, dt, 0, 22)
+        est = xo.simulate_transfer(p, b, 0.0, cfg)
+        assert est.mean == pytest.approx(np.mean(whole), rel=1e-15, abs=0.0)
 
 
 class TestSectorsAgainstExplicitProducts:
