@@ -7,7 +7,6 @@ controlled coupling with a fixed total energy.
 
 from .bath import DEFAULT_CORR_NORM, BathModel, correlation, sample_noise_trajectory, spectrum
 from .fidelity import (
-    FreqGrid,
     InfidelityBreakdown,
     bath_infidelity,
     infidelity_freq,
@@ -64,7 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BathModel", "DEFAULT_CORR_NORM", "correlation", "spectrum", "sample_noise_trajectory",
-    "FreqGrid", "InfidelityBreakdown", "bath_infidelity", "infidelity_freq",
+    "InfidelityBreakdown", "bath_infidelity", "infidelity_freq",
     "infidelity_gradient", "infidelity_markovian", "infidelity_time", "modulation_spectrum",
     "DEFAULT_CORRECTOR_KAPPA", "EvenState", "corrector_energy_estimate",
     "minimal_corrector_energy", "perturbative_leakage_amplitude", "propagate_even",

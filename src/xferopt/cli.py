@@ -9,6 +9,7 @@ fixed-format text, so reruns with the same inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,8 +29,7 @@ _CONFIG_KEYS = {
     "bath.gamma", "bath.t_c", "bath.corr_norm",
     "control.energy", "control.t_f", "control.grid_n",
     "system.omega0",
-    "optimizer.leak_weight", "optimizer.energy_mode", "optimizer.starts",
-    "optimizer.max_inner",
+    "optimizer.leak_weight", "optimizer.starts",
     "oracle.n_traj", "oracle.seed", "oracle.dt", "oracle.rwa", "oracle.include_even",
     "out.dir",
 }
@@ -113,43 +113,32 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _problem_from(args, cfg, bath: BathModel) -> OptimizationProblem:
-    energy = float(_require(_pick(args.energy, cfg, "control.energy"), "control.energy / --energy"))
-    t_f = float(_require(_pick(args.t_f, cfg, "control.t_f"), "control.t_f / --t-f"))
-    grid_n = int(_pick(args.grid_n, cfg, "control.grid_n", 512))
-    omega0 = float(_pick(args.omega0, cfg, "system.omega0", 0.0))
-    leak_weight = float(_pick(args.leak_weight, cfg, "optimizer.leak_weight", 0.5))
-    energy_mode = _pick(args.energy_mode, cfg, "optimizer.energy_mode", "equal")
+def _budget_from(args, cfg) -> EnergyBudget:
+    return EnergyBudget(float(_require(_pick(args.energy, cfg, "control.energy"), "control.energy / --energy")))
+
+
+def _problem_opts(args, cfg) -> dict:
+    """The :class:`OptimizationProblem` fields that optimize and sweep share."""
+    opts = {
+        "grid_n": int(_pick(args.grid_n, cfg, "control.grid_n", 512)),
+        "omega0": float(_pick(args.omega0, cfg, "system.omega0", 0.0)),
+        "leak_weight": float(_pick(args.leak_weight, cfg, "optimizer.leak_weight", 0.5)),
+    }
     starts = _pick(args.starts, cfg, "optimizer.starts")
     if isinstance(starts, str):
-        starts = tuple(s.strip() for s in starts.split(",") if s.strip())
-    kwargs = {}
+        starts = [s.strip() for s in starts.split(",") if s.strip()]
     if starts:
-        kwargs["starts"] = tuple(starts)
-    max_inner = _pick(None, cfg, "optimizer.max_inner")
-    if max_inner is not None:
-        kwargs["max_inner"] = int(max_inner)
-    return OptimizationProblem(
-        bath=bath,
-        budget=EnergyBudget(energy),
-        t_f=t_f,
-        omega0=omega0,
-        leak_weight=leak_weight,
-        grid_n=grid_n,
-        energy_mode=energy_mode,
-        **kwargs,
-    )
+        opts["starts"] = tuple(starts)
+    return opts
 
 
 def _add_problem_flags(sp):
     sp.add_argument("--energy", type=float, default=None, help="control energy budget E")
-    sp.add_argument("--t-f", dest="t_f", type=float, default=None, help="final time")
     sp.add_argument("--omega0", type=float, default=None, help="qubit splitting (0 disables leakage)")
     sp.add_argument("--leak-weight", dest="leak_weight", type=float, default=None,
                     help="leakage penalty weight (default 0.5)")
     sp.add_argument("--grid-n", dest="grid_n", type=int, default=None, help="pulse grid segments (default 512)")
     sp.add_argument("--starts", type=str, default=None, help="comma list of start templates")
-    sp.add_argument("--energy-mode", dest="energy_mode", choices=("equal", "at_most"), default=None)
 
 
 def _check_writable(path: str) -> None:
@@ -160,8 +149,9 @@ def _check_writable(path: str) -> None:
 
 def cmd_optimize(args) -> int:
     cfg = _load_config(args.config)
-    bath = _bath_from(args, cfg)
-    prob = _problem_from(args, cfg, bath)
+    t_f = float(_require(_pick(args.t_f, cfg, "control.t_f"), "control.t_f / --t-f"))
+    prob = OptimizationProblem(bath=_bath_from(args, cfg), budget=_budget_from(args, cfg), t_f=t_f,
+                               **_problem_opts(args, cfg))
     _check_writable(args.out)
     res = optimize_with_leakage(prob) if prob.omega0 > 0.0 else optimize_rwa(prob)
     write_pulse_csv(res.pulse, args.out)
@@ -181,25 +171,13 @@ def cmd_optimize(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     bath = _bath_from(args, cfg)
-    energy = float(_require(_pick(args.energy, cfg, "control.energy"), "control.energy / --energy"))
-    budget = EnergyBudget(energy)
+    budget = _budget_from(args, cfg)
+    opts = _problem_opts(args, cfg)
     t_f_list = [float(x) for x in args.t_f_list.split(",") if x.strip()]
     if not t_f_list:
         raise ValueError("--t-f-list must name at least one final time")
     out_dir = _pick(args.out_dir, cfg, "out.dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    opts = {}
-    grid_n = _pick(args.grid_n, cfg, "control.grid_n")
-    if grid_n is not None:
-        opts["grid_n"] = int(grid_n)
-    omega0 = float(_pick(args.omega0, cfg, "system.omega0", 0.0))
-    if omega0 > 0.0:
-        opts["omega0"] = omega0
-        opts["leak_weight"] = float(_pick(args.leak_weight, cfg, "optimizer.leak_weight", 0.5))
-    mode = _pick(args.energy_mode, cfg, "optimizer.energy_mode")
-    if mode is not None:
-        opts["energy_mode"] = mode
-
     records = sweep_final_time(bath, budget, t_f_list, opts)
     rows = []
     for i, rec in enumerate(records):
@@ -292,8 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xferopt",
                                      description="Pulse design and verification for noisy-to-quiet state transfer")
     sub = parser.add_subparsers(dest="command", required=True)
+    # No flag abbreviations: sweep would read --t-f as --t-f-list and --out as --out-dir.
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sp = sub.add_parser("evaluate", help="report infidelity and leakage of a pulse file")
+    sp = add_parser("evaluate", help="report infidelity and leakage of a pulse file")
     sp.add_argument("--pulse", required=True)
     sp.add_argument("--config", default=None)
     _add_bath_flags(sp)
@@ -302,14 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true", help="emit a JSON report")
     sp.set_defaults(func=cmd_evaluate)
 
-    sp = sub.add_parser("optimize", help="optimise a pulse under the energy constraint")
+    sp = add_parser("optimize", help="optimise a pulse under the energy constraint")
     sp.add_argument("--config", default=None)
     _add_bath_flags(sp)
     _add_problem_flags(sp)
+    sp.add_argument("--t-f", dest="t_f", type=float, default=None, help="final time")
     sp.add_argument("--out", required=True, help="output pulse CSV")
     sp.set_defaults(func=cmd_optimize)
 
-    sp = sub.add_parser("sweep", help="optimise over a list of final times")
+    sp = add_parser("sweep", help="optimise over a list of final times")
     sp.add_argument("--config", default=None)
     _add_bath_flags(sp)
     _add_problem_flags(sp)
@@ -317,18 +298,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-dir", dest="out_dir", default=None)
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("markovian", help="solve the memoryless optimal profile")
+    sp = add_parser("markovian", help="solve the memoryless optimal profile")
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--out", default=None, help="profile CSV (x,phi,dphi)")
     sp.set_defaults(func=cmd_markovian)
 
-    sp = sub.add_parser("leakage", help="even-sector propagation of a pulse file")
+    sp = add_parser("leakage", help="even-sector propagation of a pulse file")
     sp.add_argument("--pulse", required=True)
     sp.add_argument("--omega0", type=float, required=True)
     sp.add_argument("--out", default=None, help="amplitude trajectory CSV")
     sp.set_defaults(func=cmd_leakage)
 
-    sp = sub.add_parser("oracle", help="Monte-Carlo check of the predicted infidelity")
+    sp = add_parser("oracle", help="Monte-Carlo check of the predicted infidelity")
     sp.add_argument("--pulse", required=True)
     sp.add_argument("--config", default=None)
     _add_bath_flags(sp)

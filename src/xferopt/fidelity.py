@@ -132,7 +132,8 @@ def infidelity_gradient(p: Pulse, b: BathModel) -> np.ndarray:
     return bath_value_grad(p.phases, p.dt, b)[1]
 
 
-# Byte budget of the phase tables of one slice of frequency nodes.
+# Byte budget of one slice of frequency nodes: its two phase tables and the
+# block sums of both integrands, 16 (B + 3 Q) bytes per node.
 _FREQ_SLICE_BYTES = 1 << 24
 
 
@@ -160,7 +161,7 @@ def _finite_transforms(phases: np.ndarray, dt: float, omegas: np.ndarray):
     inner_t = np.arange(block) * dt
     outer_t = np.arange(0, count * block, block) * dt
     out = np.empty((2, omegas.size), dtype=complex)
-    rows = max(1, _FREQ_SLICE_BYTES // (16 * (block + count)))
+    rows = max(1, _FREQ_SLICE_BYTES // (16 * (block + 3 * count)))
     for lo in range(0, omegas.size, rows):
         arg = -1j * omegas[lo : lo + rows]
         inner = np.outer(inner_t, arg)
@@ -186,23 +187,12 @@ def modulation_spectrum(p: Pulse, omega):
     return float(f[0]) if np.isscalar(omega) or np.asarray(omega).ndim == 0 else f
 
 
-@dataclass(frozen=True)
-class FreqGrid:
-    """Quadrature specification for the spectral-overlap integral.
-
-    The integral runs over one spectral period of the grid transforms
-    against the alias-folded kernel spectrum, which reproduces the
-    time-domain quadratic form exactly up to quadrature error: ``order``
-    Gauss-Legendre nodes on each of ``base_panels`` panels (default
-    ``max(4, N/8 + 2)``), refined near the spectral peak.
-    """
-
-    order: int = 24
-    base_panels: int | None = None
+# Gauss-Legendre nodes per panel of the spectral-overlap quadrature.
+_GL_ORDER = 24
 
 
-def _gl_nodes(edges: np.ndarray, order: int):
-    xg, wg = leggauss(order)
+def _gl_nodes(edges: np.ndarray):
+    xg, wg = leggauss(_GL_ORDER)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
@@ -223,31 +213,31 @@ def _peak_refined_edges(lo: float, hi: float, scale: float, n_base: int) -> np.n
     return np.unique(np.concatenate((refine, base)))
 
 
-def infidelity_freq(p: Pulse, b: BathModel, grid: FreqGrid | None = None) -> float:
+def infidelity_freq(p: Pulse, b: BathModel) -> float:
     """Spectral-overlap infidelity ``integral G(omega) F(t_f, omega) d omega``.
 
-    Documented to agree with :func:`infidelity_time`: by default the
-    integral runs over one spectral period of the grid transforms against
-    the alias-folded kernel spectrum, an exact identity with the time-domain
-    quadratic form.  See :class:`FreqGrid` for the quadrature.
+    Documented to agree with :func:`infidelity_time`: the integral runs over
+    one spectral period of the grid transforms against the alias-folded
+    kernel spectrum, an exact identity with the time-domain quadratic form
+    up to quadrature error.  The quadrature takes 24 Gauss-Legendre nodes on
+    each of ``max(4, N/8 + 2)`` panels of ``[0, pi/dt]``, refined
+    geometrically towards 0 when the kernel spectrum's width ``1/t_c`` is
+    narrower than a panel.
     """
-    if grid is None:
-        grid = FreqGrid()
     if b.gamma == 0.0:
         return 0.0
     dt = p.dt
-    n = p.phases.size
-    n_base = grid.base_panels if grid.base_panels is not None else max(4, (n + 7) // 8 + 2)
+    n_base = max(4, (p.phases.size + 7) // 8 + 2)
 
     omega_nyq = np.pi / dt
     if b.is_markovian:
         edges = np.linspace(0.0, omega_nyq, n_base + 1)
-        nodes, weights = _gl_nodes(edges, grid.order)
+        nodes, weights = _gl_nodes(edges)
         gvals = np.full(nodes.size, b.corr_norm * b.gamma / np.pi)
     else:
         r = dt / b.t_c
         edges = _peak_refined_edges(0.0, omega_nyq, 1.0 / b.t_c, n_base)
-        nodes, weights = _gl_nodes(edges, grid.order)
+        nodes, weights = _gl_nodes(edges)
         # Alias-folded Lorentzian: sum_m G(w + 2 pi m / dt), in the
         # numerically stable form cosh r - cos(w dt) = 2 sinh^2(r/2) + 2 sin^2(w dt / 2).
         scale = b.corr_norm * b.gamma * dt / (2.0 * np.pi * b.t_c)

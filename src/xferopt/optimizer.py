@@ -12,8 +12,8 @@ zero at ``t_f = t_min`` (the discrete Cauchy-Schwarz bound of
 :class:`xferopt.pulse.EnergyBudget`).  Each start is one L-BFGS-B run on the
 free ``w`` of ``d = c + r u``, ``u = P w / |P w|`` (``P`` removes the mean):
 every iterate meets both constraints to rounding, with exact endpoints.
-The ``at_most`` energy reading adds a radial ``s`` in ``[0, 1]`` under
-L-BFGS-B's bounds, ``d = c + r s u``.  No positivity is imposed on ``V``:
+The energy is fixed, as in the paper's problem for a given transfer
+energy.  No positivity is imposed on ``V``:
 overshooting solutions need sign changes on the return path.  This is
 Riemannian optimisation on a sphere (Absil, Mahony & Sepulchre,
 *Optimization Algorithms on Matrix Manifolds*, 2008).
@@ -45,7 +45,13 @@ from .leakage import leakage_value_grad
 from .markovian import solve_markovian_profile
 from .pulse import HALF_PI, EnergyBudget, Pulse, pulse_energy
 
+# Every start template, in the order that breaks ties between equal optima.
 DEFAULT_STARTS = ("ramp", "markovian", "overshoot")
+# L-BFGS-B's gtol on the objective scaled by the start's bath infidelity,
+# without and with the leakage term, and its iteration cap per start.
+_GTOL = 1e-9
+_GTOL_LEAKAGE = 3e-8
+_MAX_ITER = 2000
 # A solve converged when its projected gradient is at most this many times
 # gtol; solves of the acceptance, sweep and leakage problems end at <= 62x.
 _CONVERGED_GTOL_FACTOR = 1e3
@@ -55,9 +61,8 @@ _CONVERGED_GTOL_FACTOR = 1e3
 class OptimizationProblem:
     """One constrained pulse-design problem.
 
-    ``omega0 = 0`` disables the leakage term; ``energy_mode`` selects the
-    equality reading of the energy constraint (default) or the ``at_most``
-    inequality, which coincide whenever the constraint binds.
+    ``omega0 = 0`` disables the leakage term.  Every design spends exactly
+    the budget's energy.
     """
 
     bath: BathModel
@@ -67,9 +72,6 @@ class OptimizationProblem:
     leak_weight: float = 0.5
     grid_n: int = 512
     starts: tuple = DEFAULT_STARTS
-    energy_mode: str = "equal"
-    max_inner: int = 2000
-    gtol: float | None = None
 
     def __post_init__(self):
         if self.t_f < self.budget.t_min * (1.0 - 1e-12):
@@ -82,8 +84,11 @@ class OptimizationProblem:
             raise ValueError("leak_weight must be nonnegative")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
-        if self.energy_mode not in ("equal", "at_most"):
-            raise ValueError(f"unknown energy_mode {self.energy_mode!r}")
+        if not self.starts:
+            raise ValueError("starts must name at least one start template")
+        for name in self.starts:
+            if name not in DEFAULT_STARTS:
+                raise ValueError(f"unknown start template {name!r}")
 
 
 @dataclass(frozen=True)
@@ -157,64 +162,50 @@ def _template_phases(name: str, prob: OptimizationProblem) -> np.ndarray:
         x_end = profile.x_end(1e-8)
         stretch = max(1.0, x_end / (rate * prob.t_f))
         phi = profile.phase_at(rate * stretch * t)
-    elif name == "overshoot":
+    else:  # "overshoot"; the problem admits no other name
         peak = HALF_PI + 0.3
         t_peak = 0.4 * prob.t_f
         phi = np.where(t <= t_peak, peak * t / t_peak, peak + (HALF_PI - peak) * (t - t_peak) / (prob.t_f - t_peak))
-    else:
-        raise ValueError(f"unknown start template {name!r}")
     return np.asarray(phi, dtype=float)
 
 
 class _Sphere:
-    """The feasible set as a sphere of phase increments ``d = c + r s u``.
+    """The feasible set as a sphere of phase increments ``d = c + r u``.
 
-    The variables are ``w`` (and ``s`` under ``at_most``); ``u`` is the unit
-    vector along the mean-free part of ``w``.
+    The variables are ``w``; ``u`` is the unit vector along the mean-free
+    part of ``w``.
     """
 
     def __init__(self, prob: OptimizationProblem):
         self.n = prob.grid_n
         self.c = HALF_PI / self.n
         self.r = float(np.sqrt(max(prob.budget.energy * prob.t_f - HALF_PI * HALF_PI, 0.0) / self.n))
-        self.at_most = prob.energy_mode == "at_most"
 
     def start(self, phi0: np.ndarray) -> np.ndarray:
         w = np.diff(phi0) - self.c
         w -= w.mean()
-        w /= np.linalg.norm(w)
-        return np.append(w, 1.0) if self.at_most else w
+        return w / np.linalg.norm(w)
 
-    def phases(self, x: np.ndarray):
+    def phases(self, w: np.ndarray):
         """Full phases (exact endpoints), the unit direction and ``|P w|``."""
-        w, s = (x[:-1], x[-1]) if self.at_most else (x, 1.0)
         v = w - w.mean()
         v -= v.mean()  # the rounding of the first pass, when |P w| << |w|
         norm = float(np.linalg.norm(v))
         u = v / norm
         phi = np.empty(self.n + 1)
         phi[0] = 0.0
-        np.cumsum(self.c + (self.r * s) * u, out=phi[1:])
+        np.cumsum(self.c + self.r * u, out=phi[1:])
         phi[-1] = HALF_PI
         return phi, u, norm
 
-    def gradient(self, x: np.ndarray, u: np.ndarray, norm: float, g_interior: np.ndarray) -> np.ndarray:
+    def gradient(self, u: np.ndarray, norm: float, g_interior: np.ndarray) -> np.ndarray:
         """Chain rule from the interior-phase gradient to the variables."""
         gd = np.zeros(self.n)
         gd[:-1] = np.cumsum(g_interior[::-1])[::-1]
-        s = x[-1] if self.at_most else 1.0
-        gu = (self.r * s) * gd
+        gu = self.r * gd
         gw = gu - u * (u @ gu)
         gw -= gw.mean()
-        gw /= norm
-        return np.append(gw, self.r * (u @ gd)) if self.at_most else gw
-
-    def projected_gradient_norm(self, x: np.ndarray, norm: float, grad: np.ndarray) -> float:
-        """Largest entry of the gradient on the unit sphere and in the bound on ``s``."""
-        if not self.at_most:
-            return float(np.max(np.abs(grad))) * norm
-        s, gs = x[-1], grad[-1]
-        return max(float(np.max(np.abs(grad[:-1]))) * norm, abs(min(max(s - gs, 0.0), 1.0) - s))
+        return gw / norm
 
 
 def _result(obj: _Objective, phi: np.ndarray, label: str, iterations: int, converged: bool,
@@ -224,14 +215,12 @@ def _result(obj: _Objective, phi: np.ndarray, label: str, iterations: int, conve
     val, _, pop = obj.value_grad(phi[1:-1])
     leak_pen = prob.leak_weight * pop if obj.leakage else 0.0
     used = pulse_energy(pulse)
-    excess = used / prob.budget.energy - 1.0
-    residual_energy = max(excess, 0.0) if prob.energy_mode == "at_most" else abs(excess)
     breakdown = InfidelityBreakdown(bath_infidelity=max(val - leak_pen, 0.0), leakage_penalty=leak_pen)
     return OptimizationResult(
         pulse=pulse,
         breakdown=breakdown,
         energy_used=used,
-        constraint_residuals={"energy": residual_energy, "endpoint": abs(phi[-1] - HALF_PI)},
+        constraint_residuals={"energy": abs(used / prob.budget.energy - 1.0), "endpoint": abs(phi[-1] - HALF_PI)},
         iterations=iterations,
         converged=converged,
         objective_history=history,
@@ -248,13 +237,13 @@ def _solve_from(obj: _Objective, sphere: _Sphere, phi0: np.ndarray, label: str) 
     # heavy leakage penalty at the start would make gtol loose at the optimum.
     bath0 = j0 - prob.leak_weight * pop0
     j_ref = max(bath0 if bath0 > 0.0 else abs(j0), 1e-12)
-    gtol = prob.gtol if prob.gtol is not None else (3e-8 if obj.leakage else 1e-9)
+    gtol = _GTOL_LEAKAGE if obj.leakage else _GTOL
     history = [j0]
 
     def fun(x):
         phi, u, norm = sphere.phases(x)
         val, grad, _ = obj.value_grad(phi[1:-1])
-        return val / j_ref, sphere.gradient(x, u, norm, grad) / j_ref
+        return val / j_ref, sphere.gradient(u, norm, grad) / j_ref
 
     def record(intermediate_result):
         history.append(intermediate_result.fun * j_ref)
@@ -264,15 +253,14 @@ def _solve_from(obj: _Objective, sphere: _Sphere, phi0: np.ndarray, label: str) 
         x0,
         jac=True,
         method="L-BFGS-B",
-        bounds=[(None, None)] * sphere.n + [(0.0, 1.0)] if sphere.at_most else None,
         callback=record,
-        options={"maxiter": prob.max_inner, "maxfun": 3 * prob.max_inner,
-                 "ftol": 1e-16, "gtol": gtol, "maxcor": 30},
+        options={"maxiter": _MAX_ITER, "maxfun": 3 * _MAX_ITER, "ftol": 1e-16, "gtol": gtol, "maxcor": 30},
     )
     phi, _, norm = sphere.phases(res.x)
     # L-BFGS-B also stops (on ftol, or in its line search) at optima whose
-    # gradient rounding keeps just above gtol, so the gradient itself decides.
-    converged = sphere.projected_gradient_norm(res.x, norm, res.jac) <= _CONVERGED_GTOL_FACTOR * gtol
+    # gradient rounding keeps just above gtol, so the gradient itself decides:
+    # its largest entry on the unit sphere, max|jac| |P w|.
+    converged = float(np.max(np.abs(res.jac))) * norm <= _CONVERGED_GTOL_FACTOR * gtol
     return _result(obj, phi, label, int(res.nit), converged, tuple(history))
 
 

@@ -162,6 +162,12 @@ def scale_pulse(p: Pulse, a: float) -> Pulse:
     return Pulse(t_f=p.t_f / a, phases=p.phases.copy())
 
 
+def _node_amplitudes(p: Pulse) -> np.ndarray:
+    """Right-continuous segment amplitude at each grid time (the last segment's at ``t_f``)."""
+    amps = p.amplitudes()
+    return np.append(amps, amps[-1])
+
+
 def write_pulse_csv(p: Pulse, path) -> None:
     """Write ``t,phi,V`` rows, one per grid point, at 17 significant digits.
 
@@ -169,8 +175,7 @@ def write_pulse_csv(p: Pulse, path) -> None:
     grid time (last segment value at ``t_f``).
     """
     t = p.times
-    amps = p.amplitudes()
-    v = amps[np.minimum(np.arange(t.size), p.n_segments - 1)]
+    v = _node_amplitudes(p)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,phi,V\n")
         for tj, pj, vj in zip(t, p.phases, v):
@@ -215,8 +220,7 @@ def read_pulse_csv(path) -> Pulse:
     if phi[0] != 0.0:
         raise PulseCsvError("line 2: first phase must be exactly 0")
     pulse = Pulse(t_f=float(t[-1]), phases=phi)
-    amps = pulse.amplitudes()
-    expect = amps[np.minimum(np.arange(t.size), pulse.n_segments - 1)]
+    expect = _node_amplitudes(pulse)
     atol = 1e-8 * max(1.0, float(np.max(np.abs(expect))))
     mism = np.abs(v - expect) > atol
     if np.any(mism):

@@ -148,6 +148,21 @@ class TestOptimize:
         assert code == 2
         assert "unknown config keys: optimizer.max_outer" in err
 
+    @pytest.mark.parametrize("key", ["optimizer.energy_mode", "optimizer.max_inner"])
+    def test_removed_solver_keys_rejected(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 1}))
+        for command in (["optimize", "--out", str(tmp_path / "x.csv")], ["sweep", "--t-f-list", "2"]):
+            code, _, err = run(capsys, [command[0], "--config", str(cfg), *command[1:]])
+            assert code == 2
+            assert f"unknown config keys: {key}" in err
+
+    def test_energy_mode_flag_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--gamma", "0.1", "--energy", str(ENERGY), "--t-f", "2.0",
+                  "--energy-mode", "equal", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
 
 class TestSweep:
     def test_csv_schema_and_determinism(self, capsys, tmp_path):
@@ -168,6 +183,32 @@ class TestSweep:
         code, _, _ = run(capsys, argv)
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == first
 
+    SWEEP = ["sweep", "--gamma", str(GAMMA), "--t-c", "10", "--energy", str(ENERGY),
+             "--t-f-list", "3,6", "--grid-n", "32"]
+
+    def test_unknown_start_rejected_before_computation(self, capsys, tmp_path):
+        code, _, err = run(capsys, [*self.SWEEP, "--starts", "bogus", "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "unknown start template 'bogus'" in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_starts_flag_designs_from_those_templates(self, capsys, tmp_path):
+        # At t_f = 3 the ramp start ends a few ulps away from the multistart winner.
+        code, _, _ = run(capsys, [*self.SWEEP, "--starts", "ramp", "--out-dir", str(tmp_path)])
+        assert code == 0
+        bath = xo.BathModel(gamma=GAMMA, t_c=10.0)
+        recs = xo.sweep_final_time(bath, xo.EnergyBudget(ENERGY), [3.0, 6.0], {"grid_n": 32, "starts": ("ramp",)})
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:6] for row in rows] == [
+            [f"{x:.17g}" for x in (r.tf_over_tmin, r.tc_over_tmin, r.infidelity, r.energy, r.max_phi)]
+            + [str(r.converged).lower()] for r in recs
+        ]
+
+    @pytest.mark.parametrize("flag", [["--t-f", "2.0"], ["--energy-mode", "equal"]])
+    def test_optimize_only_flags_rejected(self, capsys, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.SWEEP, *flag, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_failed_point_reason_on_stderr(self, capsys, tmp_path, monkeypatch):
         def failing(prob, include_leakage):

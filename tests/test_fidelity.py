@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,11 +103,25 @@ class TestTimeFreqAgreement:
         for b in (xo.BathModel(gamma=0.05, t_c=0.7), xo.BathModel(gamma=0.05, t_c=0.0)):
             monkeypatch.setattr(fidelity, "_FREQ_SLICE_BYTES", 1 << 40)
             whole = xo.infidelity_freq(p, b)
-            # Slice rows are sized by the two table widths B + Q.
+            # A slice row holds B + Q table entries and 2Q block sums.
             rows = 13
-            monkeypatch.setattr(fidelity, "_FREQ_SLICE_BYTES", rows * 16 * sum(fidelity._block_shape(p.phases.size)))
+            block, count = fidelity._block_shape(p.phases.size)
+            monkeypatch.setattr(fidelity, "_FREQ_SLICE_BYTES", rows * 16 * (block + 3 * count))
             assert xo.infidelity_freq(p, b) == pytest.approx(whole, rel=1e-14, abs=0.0)
             assert node_counts[-1] > rows and node_counts[-1] % rows != 0
+
+    def test_large_grid_memory_bounded(self, budget):
+        # One slice of frequency nodes holds its two phase tables and the
+        # block sums of both integrands within _FREQ_SLICE_BYTES (16 MiB);
+        # the next slice's arrays are built while the last one's are held.
+        p = xo.fastest_pulse(budget, 8192)
+        tracemalloc.start()
+        try:
+            xo.infidelity_freq(p, xo.BathModel(gamma=GAMMA, t_c=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
 
     @given(
         n=st.integers(2, 1500),

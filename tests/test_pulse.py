@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import xferopt as xo
 from conftest import ENERGY, random_pulse
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def pulses(max_segments=400):
+    """Pulses of 2..max_segments segments with arbitrary phases after phi_0 = 0."""
+    return st.integers(2, max_segments).flatmap(lambda n: st.builds(
+        lambda rest, t_f: xo.make_pulse(np.concatenate(([0.0], rest)), t_f),
+        arrays(np.float64, n, elements=st.floats(-20.0, 20.0)),
+        st.floats(1e-3, 1e3),
+    ))
 
 
 class TestMakePulse:
@@ -121,6 +135,12 @@ class TestScalePulse:
         with pytest.raises(ValueError):
             xo.scale_pulse(p, 0.0)
 
+    @PROPERTY_SETTINGS
+    @given(p=pulses(), a=st.floats(1e-3, 1e3))
+    def test_property_energy_scales_with_the_factor(self, p, a):
+        energy = xo.pulse_energy(p)
+        assert abs(xo.pulse_energy(xo.scale_pulse(p, a)) - a * energy) <= 1e-14 * a * energy
+
 
 def test_fastest_pulse_is_unique_energy_minimiser():
     # Any other transfer-complete pulse at t_f = t_min needs strictly more energy.
@@ -143,6 +163,18 @@ class TestPulseCsv:
         q = xo.read_pulse_csv(path)
         assert q.t_f == p.t_f
         np.testing.assert_array_equal(q.phases, p.phases)
+
+    @PROPERTY_SETTINGS
+    @given(p=pulses())
+    def test_property_round_trip_is_bitwise(self, p, tmp_path_factory):
+        path = tmp_path_factory.mktemp("pulse") / "pulse.csv"
+        xo.write_pulse_csv(p, path)
+        written = path.read_bytes()
+        q = xo.read_pulse_csv(path)
+        assert q.t_f == p.t_f
+        np.testing.assert_array_equal(q.phases, p.phases)
+        xo.write_pulse_csv(q, path)
+        assert path.read_bytes() == written
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
