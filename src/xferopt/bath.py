@@ -154,10 +154,11 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
         return xi.T
     bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
-    # A fresh Philox(key=[seed, index]): counter 0 and an empty buffer.
-    key = np.array([seed, first], dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    # A fresh Philox(key=[seed, index]): counter 0 and an empty buffer.  The
+    # setter reads plain ints and lists in half the time of uint64 arrays.
+    key = [seed, first]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for j in range(count):
         key[1] = first + j
         bits.state = state

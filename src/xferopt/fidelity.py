@@ -171,6 +171,8 @@ def _finite_transforms(phases: np.ndarray, dt: float, omegas: np.ndarray):
         outer = np.outer(outer_t, arg)
         np.exp(outer, out=outer)
         out[:, lo : lo + rows] = np.einsum("qw,sqw->sw", outer, sums)
+        # Free this slice's tables before the next slice builds its own.
+        del inner, sums, outer
     return out[0], out[1]
 
 

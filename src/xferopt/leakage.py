@@ -48,39 +48,82 @@ class EvenState:
         return float(abs(self.amp_ee) ** 2)
 
 
-def segment_rotation(v, w, dt: float, derivative: bool = False):
+# Largest x^2 = (Omega dt)^2 at which segment_rotation uses its power series.
+_SERIES_X2 = 1e-2
+# cos x and sin x / x in powers of x^2, highest first: four terms after the
+# constant 1.  For x^2 <= 1e-2 the first omitted terms, x^10 / 10! and
+# x^10 / 11!, are below 3e-17 of the values, which lie within 0.5% of 1.
+_COS_SERIES = (1.0 / 40320.0, -1.0 / 720.0, 1.0 / 24.0, -1.0 / 2.0, 1.0)
+_SINC_SERIES = (1.0 / 362880.0, -1.0 / 5040.0, 1.0 / 120.0, -1.0 / 6.0, 1.0)
+
+
+def _even_series(x2, coeffs, out: np.ndarray) -> np.ndarray:
+    """Polynomial in ``x2`` by Horner's rule, in place in ``out``."""
+    np.multiply(x2, coeffs[0], out=out)
+    for coeff in coeffs[1:-1]:
+        out += coeff
+        out *= x2
+    out += coeffs[-1]
+    return out
+
+
+def segment_rotation(v, w, dt: float, derivative: bool = False, out=None):
     """Closed-form ``exp(-i dt (w sz + v sx))`` as the SU(2) pair ``(a, b)``.
 
     In the basis ``(|0>, |1>)`` with ``sz = diag(-1, 1)`` the rotation is
     ``[[a, b], [b, conj(a)]]`` with ``a = c + i w s``, ``b = -i v s``,
     ``c = cos(Omega dt)``, ``s = sin(Omega dt) / Omega`` and
-    ``Omega = sqrt(v^2 + w^2)``; ``s = dt`` at ``Omega = 0``.  ``v`` and ``w``
-    broadcast.  With ``derivative`` the pair ``(da/dv, db/dv)`` follows.
+    ``Omega = sqrt(v^2 + w^2)``.  ``v`` and ``w`` broadcast.  Entries with
+    ``x^2 = Omega^2 dt^2 <= 1e-2`` take ``c`` and ``s / dt`` from
+    fixed-length even power series in ``x^2`` (truncation below 3e-17
+    relative; no square root, trigonometry or division, and ``s = dt`` at
+    ``Omega = 0``); the others from ``cos`` and ``sin`` on those entries
+    alone.  The branch is chosen per entry, so an entry's result does not
+    depend on the others.  ``out``, a pair of complex arrays of the
+    broadcast shape, receives ``(a, b)``.  With ``derivative`` the pair
+    ``(da/dv, db/dv)`` follows, and ``(a, b)`` are the same as without it.
     """
-    # np.hypot's guard against overflow matters only beyond 1e154, far past
-    # any amplitude or splitting, and costs five times as much.
-    omega = np.sqrt(v * v + w * w)
-    x = omega * dt
-    c = np.cos(x)
-    nonzero = omega > 0.0
-    if nonzero.all():
-        s = np.sin(x) / omega
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    x2 = np.add(v * v, w * w)
+    x2 *= dt * dt
+    a, b = out if out is not None else (np.empty(x2.shape, dtype=complex), np.zeros(x2.shape, dtype=complex))
+    s = np.empty_like(x2)
+    small = x2 <= _SERIES_X2
+    all_small = small.all()
+    if all_small:
+        # One scratch array serves both series: c goes straight into a.
+        a.real = _even_series(x2, _COS_SERIES, s)
+        _even_series(x2, _SINC_SERIES, s)
+        s *= dt
     else:
-        s = np.where(nonzero, np.sin(x) / np.where(nonzero, omega, 1.0), dt)
-    a = np.empty(s.shape, dtype=complex)
-    a.real = c
+        c = np.empty_like(x2)
+        x2_small = x2[small]
+        c[small] = _even_series(x2_small, _COS_SERIES, np.empty_like(x2_small))
+        s[small] = _even_series(x2_small, _SINC_SERIES, np.empty_like(x2_small)) * dt
+        large = ~small
+        vl, wl = np.broadcast_to(v, x2.shape)[large], np.broadcast_to(w, x2.shape)[large]
+        # np.hypot's guard against overflow matters only beyond 1e154, far
+        # past any amplitude or splitting, and costs five times as much.
+        omega = np.sqrt(vl * vl + wl * wl)
+        x = omega * dt
+        c[large] = np.cos(x)
+        s[large] = np.sin(x) / omega
+        a.real = c
     np.multiply(w, s, out=a.imag)
-    b = np.zeros(s.shape, dtype=complex)
-    np.multiply(-v, s, out=b.imag)
+    if out is not None:
+        b.real = 0.0
+    np.multiply(s, -v, out=b.imag)
     if not derivative:
         return a, b
     # ds/dv = v (c dt - s) / Omega^2 = v dt^3 (x cos x - sin x) / x^3 with
-    # x = Omega dt.  The difference cancels as x -> 0, so below x = 0.1 its
-    # Taylor series is used (both forms are accurate to ~1e-13 there).
-    x2 = x * x
-    small = x2 < 1e-2
-    series = dt ** 3 * (-1.0 / 3.0 + x2 * (1.0 / 30.0 + x2 * (-1.0 / 840.0 + x2 / 45360.0)))
-    ds = v * np.where(small, series, (c * dt - s) / np.where(small, 1.0, omega * omega))
+    # x = Omega dt.  The difference cancels as x -> 0, so on the series
+    # entries its Taylor series is used (both forms are accurate to ~1e-13
+    # at x^2 = 1e-2).
+    ds = dt ** 3 * (-1.0 / 3.0 + x2 * (1.0 / 30.0 + x2 * (-1.0 / 840.0 + x2 / 45360.0)))
+    if not all_small:
+        ds = np.where(small, ds, (a.real * dt - s) * (dt * dt) / np.where(small, 1.0, x2))
+    ds *= v
     dc = -s * dt * v
     return a, b, dc + 1j * w * ds, -1j * (s + v * ds)
 

@@ -6,8 +6,14 @@ every second-order infidelity deep in the weak-coupling regime.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import xferopt as xo
+
+# Every property test runs derandomised (the same examples on every run),
+# without a deadline and without an example database.
+settings.register_profile("xferopt", max_examples=60, deadline=None, derandomize=True, database=None)
+settings.load_profile("xferopt")
 
 ENERGY = np.pi ** 2 / 4.0
 GAMMA = 0.02
@@ -66,3 +72,19 @@ def random_pulse(rng, n, t_f, complete=False, scale=0.1):
         phases *= (np.pi / 2.0) / phases[-1] if phases[-1] != 0 else 1.0
         phases[-1] = np.pi / 2.0
     return xo.make_pulse(phases, t_f)
+
+
+def check_directional_derivative(value_grad, phases, rng, atol, h=1e-5, rtol=1e-6):
+    """Exact gradient against a central difference along a random direction.
+
+    ``value_grad`` maps all grid phases to ``(value, gradient)`` with one
+    gradient entry per interior phase; the direction moves only those.  The
+    bound scales with ``sum |g_k d_k|``, so cancellation in ``g . d`` does
+    not shrink it to nothing; ``atol`` covers the rounding of the difference
+    quotient.
+    """
+    direction = rng.normal(size=phases.size - 2)
+    _, grad = value_grad(phases)
+    step = np.concatenate(([0.0], h * direction, [0.0]))
+    fd = (value_grad(phases + step)[0] - value_grad(phases - step)[0]) / (2.0 * h)
+    assert abs(grad @ direction - fd) <= rtol * (np.abs(grad) @ np.abs(direction)) + atol

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import xferopt as xo
-from conftest import ENERGY, random_pulse
+from conftest import ENERGY, check_directional_derivative, random_pulse
 from xferopt.leakage import leakage_value_grad, segment_rotation
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -64,6 +66,64 @@ class TestSegmentRotation:
             assert np.max(np.abs(got - (hi - lo) / (2 * h))) <= 1e-9
 
 
+class TestRotationSeries:
+    """The power-series branch (x^2 = Omega^2 dt^2 <= 1e-2) and its bound."""
+
+    DT = 0.3
+    BOUND = 1e-2
+
+    @classmethod
+    def mixed_entries(cls):
+        # x^2 from 1e-12 through the bound to 1, with entries just either
+        # side of the bound and Omega = 0 entries among them.
+        x2 = np.concatenate((np.logspace(-12, 0, 49), [cls.BOUND, np.nextafter(cls.BOUND, 1.0), 0.0, 0.0]))
+        angle = np.linspace(0.0, 2.0 * np.pi, x2.size)
+        omega = np.sqrt(x2) / cls.DT
+        v, w = omega * np.cos(angle), omega * np.sin(angle)
+        rng = np.random.default_rng(7)
+        order = rng.permutation(x2.size)
+        return v[order], w[order]
+
+    def test_matches_expm_across_the_bound(self):
+        v, w = self.mixed_entries()
+        x2 = (v * v + w * w) * (self.DT * self.DT)
+        assert np.any(x2 <= self.BOUND) and np.any(x2 > self.BOUND) and np.any(x2 == 0.0)
+        a, b = segment_rotation(v, w, self.DT)
+        for k in range(v.size):
+            want = expm(-1j * self.DT * (w[k] * SZ + v[k] * SX))
+            assert np.max(np.abs(rotation_matrix(a[k], b[k]) - want)) <= 1e-15, (k, x2[k])
+
+    def test_each_entry_equals_its_scalar_call(self):
+        v, w = self.mixed_entries()
+        a, b = segment_rotation(v, w, self.DT)
+        for k in range(v.size):
+            ak, bk = segment_rotation(v[k], w[k], self.DT)
+            assert a[k] == ak and b[k] == bk, k
+        # The broadcast form the oracle uses: a column of drives against rows.
+        rows = np.stack((w, w[::-1]))
+        col = np.array([[0.4], [-1.1]])
+        a2, b2 = segment_rotation(col, rows, self.DT)
+        for i in range(2):
+            ai, bi = segment_rotation(col[i, 0], rows[i], self.DT)
+            assert np.array_equal(a2[i], ai) and np.array_equal(b2[i], bi), i
+
+    def test_derivative_keeps_the_value_bits(self):
+        v, w = self.mixed_entries()
+        series = (v * v + w * w) * (self.DT * self.DT) <= self.BOUND
+        for sl in (slice(None), series, ~series):
+            a, b = segment_rotation(v[sl], w[sl], self.DT)
+            a_d, b_d, _, _ = segment_rotation(v[sl], w[sl], self.DT, derivative=True)
+            assert np.array_equal(a, a_d) and np.array_equal(b, b_d)
+
+    def test_writes_into_given_arrays(self):
+        v, w = self.mixed_entries()
+        out = (np.full(v.shape, np.nan, dtype=complex), np.full(v.shape, np.nan, dtype=complex))
+        a, b = segment_rotation(v, w, self.DT, out=out)
+        assert a is out[0] and b is out[1]
+        want_a, want_b = segment_rotation(v, w, self.DT)
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+
+
 class TestPropagateEven:
     def test_no_drive_no_leakage(self):
         p = xo.make_pulse(np.zeros(17), 2.0)
@@ -98,6 +158,27 @@ class TestPropagateEven:
         b = xo.propagate_even(fine, omega0=1.7)
         assert abs(a.amp_ee - b.amp_ee) < 1e-12
         assert abs(a.amp_gg - b.amp_gg) < 1e-12
+
+    @given(
+        n=st.integers(2, 400),
+        t_f=st.floats(0.1, 10.0),
+        omega0=st.one_of(st.just(0.0), st.floats(1e-3, 20.0)),
+        scale=st.floats(1e-2, 3.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_property_unitary_and_split_invariant(self, n, t_f, omega0, scale, seed):
+        # Splitting every segment in half keeps the piecewise-linear phase and
+        # runs each half at dt / 2, so the rotations take the series branch on
+        # more segments; the final state must not change.
+        p = random_pulse(np.random.default_rng(seed), n, t_f, scale=scale)
+        state = xo.propagate_even(p, omega0)
+        assert abs(abs(state.amp_gg) ** 2 + abs(state.amp_ee) ** 2 - 1.0) <= 1e-14
+        fine = np.empty(2 * n + 1)
+        fine[::2] = p.phases
+        fine[1::2] = 0.5 * (p.phases[:-1] + p.phases[1:])
+        half = xo.propagate_even(xo.make_pulse(fine, t_f), omega0)
+        assert abs(half.amp_gg - state.amp_gg) <= 1e-13
+        assert abs(half.amp_ee - state.amp_ee) <= 1e-13
 
     def test_trajectory_output(self, budget):
         p = xo.fastest_pulse(budget, 32)
@@ -146,6 +227,19 @@ class TestLeakageGradient:
             dn = xo.propagate_even(xo.make_pulse(q, t_f), omega0).p_ee
             fd[i - 1] = (up - dn) / (2 * h)
         assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+    @given(
+        n=st.integers(2, 1500),
+        t_f=st.floats(0.1, 100.0),
+        omega0=st.one_of(st.just(0.0), st.floats(1e-3, 20.0)),
+        scale=st.floats(1e-2, 3.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_property_matches_central_differences(self, n, t_f, omega0, scale, seed):
+        rng = np.random.default_rng(seed)
+        p = random_pulse(rng, n, t_f, scale=scale)
+        # p_ee comes from unit-norm amplitudes: rounding ~1e-16 over h = 1e-5.
+        check_directional_derivative(lambda phi: leakage_value_grad(phi, p.dt, omega0), p.phases, rng, atol=1e-9)
 
     def test_zero_splitting_with_idle_segments(self):
         # omega0 = 0 and V = 0 on held segments: Omega = 0 there.  The state

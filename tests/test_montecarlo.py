@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import xferopt as xo
+from xferopt import montecarlo
 from xferopt.bath import sample_noise_block
 from xferopt.montecarlo import _chunk_amplitudes, _chunk_fidelities, _resolve_steps
 from conftest import ENERGY, random_pulse
@@ -189,13 +190,44 @@ class TestChunking:
         assert est.mean == pytest.approx(np.mean(whole), rel=1e-15, abs=0.0)
 
 
+class TestBlockEdges:
+    """Step counts off the step block and chunks off the trajectory tile.
+
+    A 37-segment pulse gives 74 or 333 steps, not multiples of the 8-step
+    block; chunks of 1, 7, 65 and 257 trajectories are not multiples of the
+    256-trajectory tile of the noise copy, and 600 trajectories leave a
+    ragged last tile in the whole chunk.
+    """
+
+    @pytest.mark.parametrize("t_c, omega0, rwa, steps", [
+        (1.0, 0.0, True, 74), (0.0, 0.0, True, 74), (1.0, 1.6, True, 333),
+        (1.0, 1.6, False, 333), (0.0, 1.6, False, 333),
+    ])
+    def test_bitwise_equal_across_chunk_sizes(self, budget, t_c, omega0, rwa, steps):
+        p = xo.fastest_pulse(budget, 37)
+        b = xo.BathModel(gamma=0.05, t_c=t_c)
+        cfg = xo.OracleConfig(n_traj=600, seed=17, rwa=rwa)
+        v_steps, dt = chunk_setup(p, b, omega0, cfg)
+        assert v_steps.size == steps and steps % montecarlo._BLOCK_STEPS != 0
+        whole = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, 0, cfg.n_traj)
+        assert cfg.n_traj % montecarlo._TILE_TRAJ != 0
+        for size in (1, 7, 65, 257):
+            n = min(cfg.n_traj, 3 * size + 5)
+            parts = np.concatenate([
+                _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, first, min(size, n - first))
+                for first in range(0, n, size)
+            ])
+            assert np.array_equal(parts, whole[:n]), size
+
+
 class TestSectorsAgainstExplicitProducts:
     """Chunk amplitudes against per-step products written out here."""
 
     OMEGA0 = np.pi
+    N_SEGMENTS = 16
 
     def setup_problem(self, budget, **kw):
-        p = xo.fastest_pulse(budget, 16)
+        p = xo.fastest_pulse(budget, self.N_SEGMENTS)
         b = xo.BathModel(gamma=0.05, t_c=1.0)
         cfg = xo.OracleConfig(n_traj=3, seed=4, **kw)
         v_steps, dt = chunk_setup(p, b, self.OMEGA0, cfg)
@@ -237,3 +269,12 @@ class TestSectorsAgainstExplicitProducts:
             want = six_state_fidelity(amp_ground, self.transferred(v_steps, noise[:, j], dt))
             assert f[j] == pytest.approx(want, abs=1e-12)
 
+
+class TestSectorsOnRaggedBlocks(TestSectorsAgainstExplicitProducts):
+    """The same references on 37 segments: 629 steps end in a partial block."""
+
+    N_SEGMENTS = 37
+
+    def test_step_count_is_ragged(self, budget):
+        _, _, _, v_steps, _, _ = self.setup_problem(budget)
+        assert v_steps.size == 629 and v_steps.size % montecarlo._BLOCK_STEPS != 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -8,8 +8,6 @@ import xferopt as xo
 from xferopt import optimizer
 from xferopt.optimizer import _Objective, _Sphere
 from conftest import ENERGY, GAMMA
-
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def small_problem(t_c=0.0, t_f=3.0, n=128, **kw):
@@ -93,7 +91,6 @@ class TestEnergyResidual:
 class TestSphere:
     """The map from solver variables to pulses, and its gradient."""
 
-    @PROPERTY_SETTINGS
     @given(
         n=st.integers(2, 3000),
         tf_ratio=st.floats(1.0, 50.0),
@@ -114,7 +111,6 @@ class TestSphere:
         used = xo.pulse_energy(xo.make_pulse(phi, prob.t_f))
         assert abs(used / ENERGY - 1.0) <= 1e-13
 
-    @PROPERTY_SETTINGS
     @given(
         n=st.integers(3, 300),
         tf_ratio=st.floats(1.01, 10.0),

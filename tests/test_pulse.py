@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import xferopt as xo
 from conftest import ENERGY, random_pulse
-
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def pulses(max_segments=400):
@@ -135,7 +133,6 @@ class TestScalePulse:
         with pytest.raises(ValueError):
             xo.scale_pulse(p, 0.0)
 
-    @PROPERTY_SETTINGS
     @given(p=pulses(), a=st.floats(1e-3, 1e3))
     def test_property_energy_scales_with_the_factor(self, p, a):
         energy = xo.pulse_energy(p)
@@ -164,7 +161,6 @@ class TestPulseCsv:
         assert q.t_f == p.t_f
         np.testing.assert_array_equal(q.phases, p.phases)
 
-    @PROPERTY_SETTINGS
     @given(p=pulses())
     def test_property_round_trip_is_bitwise(self, p, tmp_path_factory):
         path = tmp_path_factory.mktemp("pulse") / "pulse.csv"
