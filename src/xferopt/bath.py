@@ -28,8 +28,8 @@ since ``L^{-1}`` holds ``rho^(j-k)`` on and below the diagonal.  A kernel
 product is therefore two banded triangular solves, O(N) and without a
 kernel table.  The same factor generates the stationary Ornstein-Uhlenbeck
 samples: ``b = L^{-1} d`` with ``d_0 = sigma xi_0`` and
-``d_k = sigma sqrt(1 - rho^2) xi_k``, one column per trajectory.  Both go
-through :func:`_exp_solve`.
+``d_k = sigma sqrt(1 - rho^2) xi_k``, one column per trajectory of the
+oracle's time-major ``(steps, trajectories)`` noise block.  Both use :func:`_exp_solve`.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
 DEFAULT_CORR_NORM = 0.5
+# Trajectories per scratch tile of sample_noise_block (1 MiB at 512 steps).
+_NOISE_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -139,19 +141,20 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
     ``t_c = 0`` white noise of variance ``2 corr_norm gamma / dt`` per step;
     zeros, without draws, for ``gamma = 0``.  Each column's normals come
     from a Philox stream keyed by ``(seed, first + j)`` at counter 0, so a
-    column is bitwise the same whatever block it is drawn in.  One bit
-    generator is re-keyed per trajectory (constructing one costs more than
-    drawing its normals), the scaling is in place, and the OU recursion is
-    one multi-column banded solve on the same memory.  ``out``, a
-    C-contiguous ``(count, m)`` array whose contents are overwritten, lets a
-    caller reuse one buffer across blocks; the result is then its transpose.
+    column is bitwise the same whatever block it is drawn in.  Tiles of up
+    to 256 trajectories are drawn into a trajectory-major scratch, one bit
+    generator re-keyed per row (constructing one costs more than drawing its
+    normals), scaled in place, put through one multi-column banded solve
+    (OU) and copied into their columns.  ``out``, an ``(m, count)`` array
+    whose contents are overwritten (leading columns of a wider buffer will
+    do), lets a caller reuse one buffer across blocks; it is returned.
     """
     if seed < 0 or first < 0:
         raise ValueError("seed and trajectory indices must be nonnegative")
-    xi = np.empty((count, m)) if out is None else out
+    out = np.empty((m, count)) if out is None else out
     if b.gamma == 0.0:
-        xi.fill(0.0)
-        return xi.T
+        out.fill(0.0)
+        return out
     bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
     # A fresh Philox(key=[seed, index]): counter 0 and an empty buffer.  The
@@ -159,19 +162,24 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
     key = [seed, first]
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for j in range(count):
-        key[1] = first + j
-        bits.state = state
-        rng.standard_normal(out=xi[j])
-    if b.is_markovian:
-        xi *= np.sqrt(2.0 * b.corr_norm * b.gamma / dt)
-        return xi.T
-    rho = np.exp(-dt / b.t_c)
-    sigma = np.sqrt(b.corr_norm * b.gamma / b.t_c)
-    start = sigma * xi[:, 0]
-    xi *= sigma * np.sqrt(1.0 - rho * rho)
-    xi[:, 0] = start
-    return _exp_solve(rho, xi.T, overwrite=True)
+    tile = np.empty((min(count, _NOISE_TILE), m))
+    for j0 in range(0, count, _NOISE_TILE):
+        xi = tile[: min(_NOISE_TILE, count - j0)]
+        for index, row in enumerate(xi, first + j0):
+            key[1] = index
+            bits.state = state
+            rng.standard_normal(out=row)
+        if b.is_markovian:
+            xi *= np.sqrt(2.0 * b.corr_norm * b.gamma / dt)
+            out[:, j0 : j0 + len(xi)] = xi.T
+        else:
+            rho = np.exp(-dt / b.t_c)
+            sigma = np.sqrt(b.corr_norm * b.gamma / b.t_c)
+            start = sigma * xi[:, 0]
+            xi *= sigma * np.sqrt(1.0 - rho * rho)
+            xi[:, 0] = start
+            out[:, j0 : j0 + len(xi)] = _exp_solve(rho, xi.T, overwrite=True)
+    return out
 
 
 def sample_noise_trajectory(b: BathModel, grid, seed: int, trajectory_index: int = 0) -> np.ndarray:
@@ -194,6 +202,4 @@ def sample_noise_trajectory(b: BathModel, grid, seed: int, trajectory_index: int
     dt = _check_uniform_grid(grid)
     if dt > b.t_c / 10.0:
         raise ValueError(f"grid too coarse: dt = {dt} exceeds t_c/10 = {b.t_c / 10.0}")
-    if seed < 0 or trajectory_index < 0:
-        raise ValueError("seed and trajectory_index must be nonnegative")
     return sample_noise_block(b, dt, grid.size, seed, trajectory_index, 1)[:, 0]

@@ -26,13 +26,12 @@ from .optimizer import OptimizationProblem, optimize_rwa, optimize_with_leakage,
 from .pulse import EnergyBudget, PulseCsvError, pulse_energy, read_pulse_csv, write_pulse_csv
 
 _CONFIG_KEYS = {
-    "bath.gamma", "bath.t_c", "bath.corr_norm",
-    "control.energy", "control.t_f", "control.grid_n",
-    "system.omega0",
-    "optimizer.leak_weight", "optimizer.starts",
-    "oracle.n_traj", "oracle.seed", "oracle.dt", "oracle.rwa", "oracle.include_even",
-    "out.dir",
+    "bath.gamma": "number", "bath.t_c": "number", "bath.corr_norm": "number",
+    "control.energy": "number", "control.t_f": "number", "control.grid_n": "integer", "system.omega0": "number",
+    "optimizer.leak_weight": "number", "optimizer.starts": "string or list", "out.dir": "string",
+    "oracle.n_traj": "integer", "oracle.seed": "integer", "oracle.dt": "number", "oracle.rwa": "boolean",
 }
+_JSON_TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str, "string or list": (str, list)}
 
 
 def _load_config(path: str | None) -> dict:
@@ -42,9 +41,14 @@ def _load_config(path: str | None) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object with flat dotted keys")
-    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    for key in sorted(cfg):
+        kind, value = _CONFIG_KEYS[key], cfg[key]
+        # JSON true and false load as bools, which are ints to isinstance.
+        if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "boolean"):
+            raise ValueError(f"config key {key} must be a JSON {kind}, got {json.dumps(value)}")
     return cfg
 
 
@@ -120,7 +124,7 @@ def _budget_from(args, cfg) -> EnergyBudget:
 def _problem_opts(args, cfg) -> dict:
     """The :class:`OptimizationProblem` fields that optimize and sweep share."""
     opts = {
-        "grid_n": int(_pick(args.grid_n, cfg, "control.grid_n", 512)),
+        "grid_n": _pick(args.grid_n, cfg, "control.grid_n", 512),
         "omega0": float(_pick(args.omega0, cfg, "system.omega0", 0.0)),
         "leak_weight": float(_pick(args.leak_weight, cfg, "optimizer.leak_weight", 0.5)),
     }
@@ -247,11 +251,10 @@ def cmd_oracle(args) -> int:
     bath = _bath_from(args, cfg)
     omega0 = float(_pick(args.omega0, cfg, "system.omega0", 0.0))
     ocfg = OracleConfig(
-        n_traj=int(_pick(args.n_traj, cfg, "oracle.n_traj", 10000)),
-        seed=int(_pick(args.seed, cfg, "oracle.seed", 0)),
+        n_traj=_pick(args.n_traj, cfg, "oracle.n_traj", 10000),
+        seed=_pick(args.seed, cfg, "oracle.seed", 0),
         dt=_pick(args.dt, cfg, "oracle.dt"),
-        rwa=bool(_pick(args.rwa, cfg, "oracle.rwa", True)),
-        include_even=bool(_pick(None, cfg, "oracle.include_even", True)),
+        rwa=_pick(args.rwa, cfg, "oracle.rwa", True),
     )
     est = simulate_transfer(pulse, bath, omega0, ocfg)
     predicted = bath_infidelity(pulse, bath)

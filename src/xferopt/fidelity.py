@@ -225,6 +225,12 @@ def infidelity_freq(p: Pulse, b: BathModel) -> float:
     each of ``max(4, N/8 + 2)`` panels of ``[0, pi/dt]``, refined
     geometrically towards 0 when the kernel spectrum's width ``1/t_c`` is
     narrower than a panel.
+
+    At ``t_c = 0`` the spectrum is flat, ``D / (2 pi)`` with ``D = 2 corr_norm
+    gamma``, and by Parseval the overlap is ``D sum_k w_k^2 x_k^2 / dt``
+    (trapezoid weights ``w_k``), while the white kernel's form is
+    ``D sum_k w_k x_k^2``.  At the half-weight endpoints ``w - w^2/dt = dt/4``,
+    so ``D (dt/4) [(2/3) x1^2 + (1/2) x2^2]`` is added at ``t = 0`` and ``t_f``.
     """
     if b.gamma == 0.0:
         return 0.0
@@ -232,10 +238,13 @@ def infidelity_freq(p: Pulse, b: BathModel) -> float:
     n_base = max(4, (p.phases.size + 7) // 8 + 2)
 
     omega_nyq = np.pi / dt
+    ends = 0.0
     if b.is_markovian:
         edges = np.linspace(0.0, omega_nyq, n_base + 1)
         nodes, weights = _gl_nodes(edges)
         gvals = np.full(nodes.size, b.corr_norm * b.gamma / np.pi)
+        x1, x2 = _integrands(p.phases[[0, -1]])
+        ends = 2.0 * b.corr_norm * b.gamma * dt / 4.0 * float(np.sum(X1_WEIGHT * x1 * x1 + X2_WEIGHT * x2 * x2))
     else:
         r = dt / b.t_c
         edges = _peak_refined_edges(0.0, omega_nyq, 1.0 / b.t_c, n_base)
@@ -251,7 +260,7 @@ def infidelity_freq(p: Pulse, b: BathModel) -> float:
 
     t1, t2 = _finite_transforms(p.phases, dt, nodes)
     fvals = X1_WEIGHT * np.abs(t1) ** 2 + X2_WEIGHT * np.abs(t2) ** 2
-    return 2.0 * float(np.sum(weights * gvals * fvals))
+    return 2.0 * float(np.sum(weights * gvals * fvals)) + ends
 
 
 def bath_infidelity(p: Pulse, b: BathModel) -> float:

@@ -26,20 +26,16 @@ corrected) and ``B`` (transferred), the six-state mean per trajectory is
 Trajectories are keyed by a counter-based generator on
 ``(seed, trajectory index)`` and accumulated chunk-by-chunk in fixed index
 order, so results are bitwise reproducible.  Each chunk draws its noise as
-one block (:func:`xferopt.bath.sample_noise_block`) into a buffer shared by
-all chunks, and the step loop advances all of the chunk's trajectories at
-once, in blocks of 8 steps: the block's noise is copied out of the
-trajectory-major buffer into one contiguous ``(8, count)`` array, in tiles
-of 256 trajectories, and one :func:`xferopt.leakage.segment_rotation` call
-gives all of the block's rotations (one more for a driven even sector).
-The oracle's steps have ``(Omega dt)^2`` far below 1e-2, so the rotations
-come from its power series, without trigonometry.  Each step then updates
-the amplitudes in preallocated buffers.  Under RWA the undriven even sector
-is a pure phase, so it is computed once after the loop as
-``exp(i dt sum_k (omega0 + b_k))`` from the running noise sum (one add per
-step), not as a product of per-step exponentials.  Every operation acts on
-each trajectory alone, so a trajectory's fidelity does not depend on the
-chunk it falls in.
+one time-major ``(steps, count)`` block
+(:func:`xferopt.bath.sample_noise_block`) into a buffer shared by all
+chunks.  The step loop reads the block 8 rows at a time, gets those steps'
+rotations of all trajectories from one
+:func:`xferopt.leakage.segment_rotation` call (one more for a driven even
+sector) and updates the amplitudes in preallocated buffers.  Under RWA the
+undriven even sector is the pure phase ``exp(i dt sum_k (omega0 + b_k))``,
+computed once from the running noise sum.  Every operation acts on each
+trajectory alone, so a trajectory's fidelity does not depend on the chunk
+it falls in.
 """
 
 from __future__ import annotations
@@ -57,10 +53,8 @@ NORM_TOL = 1e-8
 # Largest noise block one chunk may hold (steps x trajectories x 8 bytes);
 # the default chunk at 512 steps needs 16 MiB.
 _NOISE_BLOCK_BYTES = 1 << 28
-# Steps advanced per segment_rotation call, and trajectories per tile of the
-# noise copy into a block.
+# Steps advanced per segment_rotation call.
 _BLOCK_STEPS = 8
-_TILE_TRAJ = 256
 
 
 @dataclass(frozen=True)
@@ -76,7 +70,6 @@ class OracleConfig:
     seed: int = 0
     dt: float | None = None
     rwa: bool = True
-    include_even: bool = True
     chunk_size: int = 4096
 
     def __post_init__(self):
@@ -97,17 +90,12 @@ class FidelityEstimate:
     n_traj: int
 
 
-def _step_bound(p: Pulse, b: BathModel, omega0: float) -> float:
+def _resolve_steps(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig):
     bound = p.dt
     if b.t_c > 0.0:
         bound = min(bound, b.t_c / 10.0)
     if omega0 > 0.0:
         bound = min(bound, 0.01 / omega0)
-    return bound
-
-
-def _resolve_steps(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig):
-    bound = _step_bound(p, b, omega0)
     target = cfg.dt if cfg.dt is not None else 0.5 * bound
     if target > bound * (1.0 + 1e-12):
         raise ValueError(f"dt too coarse: {target} exceeds the admissible bound {bound}")
@@ -158,49 +146,42 @@ def _chunk_amplitudes(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig,
                       noise_buffer: np.ndarray | None = None):
     """Ground (frame-corrected) and transferred amplitudes of one chunk.
 
-    ``noise_buffer``, if given, is the ``(count, m)`` array the chunk's
+    ``noise_buffer``, if given, is the ``(m, count)`` array the chunk's
     noise is drawn into (see :func:`xferopt.bath.sample_noise_block`).
     """
     m = v_steps.size
     noise = sample_noise_block(b, dt, m, cfg.seed, first, count, out=noise_buffer)
-    drive_even = cfg.include_even and not cfg.rwa
 
     # Odd sector from |e1 g2>: want the transferred amplitude <g1 e2|psi>.
     odd = _SectorState(count, 1)
     # Even sector from |g1 g2>; under RWA only the noise sum enters its phase.
-    even = _SectorState(count, 0) if drive_even else None
-    z_sum = np.zeros(count)
-    z = np.empty((_BLOCK_STEPS, count))
-    w_even = np.empty_like(z) if drive_even else None
+    if cfg.rwa:
+        z_sum = np.zeros(count)
+    else:
+        even = _SectorState(count, 0)
+        w_even = np.empty((_BLOCK_STEPS, count))
     for k0 in range(0, m, _BLOCK_STEPS):
         k1 = min(k0 + _BLOCK_STEPS, m)
-        zb = z[: k1 - k0]
-        # Noise is trajectory-major; copy the block in tiles of trajectories
-        # so each tile's source lines stay cached while they are transposed.
-        for j0 in range(0, count, _TILE_TRAJ):
-            zb[:, j0 : j0 + _TILE_TRAJ] = noise[k0:k1, j0 : j0 + _TILE_TRAJ]
+        zb = noise[k0:k1]
         vb = v_steps[k0:k1, None]
         odd.advance(vb, zb, dt)
-        if drive_even:
-            even.advance(vb, np.add(zb, omega0, out=w_even[: k1 - k0]), dt)
-        elif cfg.include_even:
+        if cfg.rwa:
             for zk in zb:
                 z_sum += zk
+        else:
+            even.advance(vb, np.add(zb, omega0, out=w_even[: k1 - k0]), dt)
     v0, v1 = odd.amp
 
     norm_odd = np.abs(v0) ** 2 + np.abs(v1) ** 2
     if np.max(np.abs(norm_odd - 1.0)) > NORM_TOL:
         raise RuntimeError("odd-sector norm drifted beyond tolerance")
-    if not cfg.include_even:
-        return np.ones(count, dtype=complex), v0
-    if drive_even:
+    if cfg.rwa:
+        u0 = np.exp(1j * dt * (m * omega0 + z_sum))
+    else:
         u0, u1 = even.amp
         norm_even = np.abs(u0) ** 2 + np.abs(u1) ** 2
-    else:
-        u0 = np.exp(1j * dt * (m * omega0 + z_sum))
-        norm_even = np.abs(u0) ** 2
-    if np.max(np.abs(norm_even - 1.0)) > NORM_TOL:
-        raise RuntimeError("even-sector norm drifted beyond tolerance")
+        if np.max(np.abs(norm_even - 1.0)) > NORM_TOL:
+            raise RuntimeError("even-sector norm drifted beyond tolerance")
     return np.exp(-1j * omega0 * p.t_f) * u0, v0
 
 
@@ -231,12 +212,12 @@ def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) 
             f"{_NOISE_BLOCK_BYTES // (1 << 20)} MiB noise-block limit; use a larger dt or a smaller chunk_size")
     v_steps = np.repeat(p.amplitudes(), per_segment)
 
-    noise_buffer = np.empty((chunk, m))
+    noise_buffer = np.empty((m, chunk))
     fsum = 0.0
     fsq = 0.0
     for i0 in range(0, cfg.n_traj, cfg.chunk_size):
         count = min(cfg.chunk_size, cfg.n_traj - i0)
-        f = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, i0, count, noise_buffer[:count])
+        f = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, i0, count, noise_buffer[:, :count])
         fsum += float(np.sum(f))
         fsq += float(np.sum(f * f))
     mean = fsum / cfg.n_traj

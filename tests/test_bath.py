@@ -188,14 +188,34 @@ class TestNoiseBlock:
     ])
     def test_reused_dirty_buffer(self, b):
         # A buffer holding an earlier, larger block's noise and NaNs; the
-        # smaller block goes into its leading rows.
+        # smaller block goes into its leading columns, and that view is
+        # what comes back.
         dt, m, seed = 0.01, 64, 3
-        buffer = np.empty((6, m))
-        sample_noise_block(b, dt, m, seed, 20, 6, out=buffer)
-        buffer[1:3] = np.nan
-        got = sample_noise_block(b, dt, m, seed, 2, 4, out=buffer[:4])
-        assert np.shares_memory(got, buffer)
-        assert np.array_equal(got, sample_noise_block(b, dt, m, seed, 2, 4))
+        buffer = np.empty((m, 6))
+        assert sample_noise_block(b, dt, m, seed, 20, 6, out=buffer) is buffer
+        buffer[:, 1:3] = np.nan
+        out = buffer[:, :4]
+        assert sample_noise_block(b, dt, m, seed, 2, 4, out=out) is out
+        assert np.array_equal(out, sample_noise_block(b, dt, m, seed, 2, 4))
+
+    @pytest.mark.parametrize("b", [
+        xo.BathModel(gamma=0.035, t_c=1.0), xo.BathModel(gamma=0.04, t_c=0.0), xo.BathModel(gamma=0.0, t_c=1.0),
+    ])
+    def test_columns_across_tile_edges(self, b):
+        # Counts on both sides of the 256-trajectory sampling tile.  Each
+        # column is its trajectory alone: sample_noise_trajectory, or for
+        # white noise the scaled fresh normals.
+        dt, m, seed, first = 0.01, 40, 5, 3
+        grid = np.arange(m) * dt
+        for count in (1, 255, 256, 257, 513):
+            block = sample_noise_block(b, dt, m, seed, first, count)
+            assert block.shape == (m, count)
+            for j in range(count):
+                if b.is_markovian:
+                    want = np.sqrt(2.0 * b.corr_norm * b.gamma / dt) * self.fresh_normals(seed, first + j, m)
+                else:
+                    want = xo.sample_noise_trajectory(b, grid, seed=seed, trajectory_index=first + j)
+                assert np.array_equal(block[:, j], want), (count, j)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

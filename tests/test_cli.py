@@ -269,6 +269,22 @@ class TestOracleCmd:
         lines = dict(ln.split(" = ") for ln in out.splitlines())
         assert float(lines["mean_fidelity"]) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("oracle.rwa", "false", "boolean"),
+        ("oracle.n_traj", 1.5, "integer"),
+        ("oracle.seed", True, "integer"),
+        ("bath.gamma", "0.04", "number"),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path, fast_pulse_file, key, value, kind):
+        # A JSON string "false" is truthy and 1.5 truncates to 1: both ran
+        # before values were checked against their key's type.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"bath.gamma": 0.04, "bath.t_c": 0.0, "oracle.n_traj": 64, key: value}))
+        code, out, err = run(capsys, ["oracle", "--pulse", fast_pulse_file, "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: config key {key} must be a JSON {kind}, got {json.dumps(value)}")
+
     def test_oversized_step_grid_rejected(self, capsys, fast_pulse_file):
         code, out, err = run(capsys, [
             "oracle", "--pulse", fast_pulse_file, "--gamma", "0.04", "--t-c", "0", "--dt", "1e-9",

@@ -145,14 +145,7 @@ class TestTimeFreqAgreement:
         # t_c / dt spans rho -> 0 (the folded spectrum's flat branch) to rho -> 1.
         p = random_pulse(np.random.default_rng(seed), n, t_f, scale=scale)
         b = xo.BathModel(gamma=0.05, t_c=tc_over_dt * p.dt)
-        want = xo.bath_infidelity(p, b)
-        if b.is_markovian:
-            # A flat spectrum reproduces the form sum y_k^2 / dt, the
-            # memoryless closed form sum y_k^2 / w_k: they differ only at the
-            # two half-weight endpoints, each by gamma (dt/4) [(2/3) x1^2 + (1/2) x2^2].
-            ends = p.phases[[0, -1]]
-            want -= b.gamma * p.dt / 4.0 * np.sum((2 / 3) * np.cos(ends) ** 4 + 0.5 * np.sin(2 * ends) ** 2)
-        assert xo.infidelity_freq(p, b) == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert xo.infidelity_freq(p, b) == pytest.approx(xo.bath_infidelity(p, b), rel=1e-9, abs=0.0)
 
 
 def direct_transforms(phases, dt, omegas):

@@ -180,7 +180,7 @@ class TestChunking:
     @pytest.mark.parametrize("t_c", [1.0, 0.0])
     def test_ragged_last_chunk(self, budget, t_c):
         # Chunks of 7 share one noise buffer; the last chunk of 1 uses its
-        # leading row.  The mean equals that of one chunk of all 22.
+        # leading column.  The mean equals that of one chunk of all 22.
         p = xo.fastest_pulse(budget, 64)
         b = xo.BathModel(gamma=0.05, t_c=t_c)
         cfg = xo.OracleConfig(n_traj=22, seed=13, chunk_size=7)
@@ -189,14 +189,33 @@ class TestChunking:
         est = xo.simulate_transfer(p, b, 0.0, cfg)
         assert est.mean == pytest.approx(np.mean(whole), rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("t_c, omega0, rwa", [(1.0, 0.0, True), (0.0, 0.0, True), (1.0, 0.5, False)])
+    def test_partial_last_chunk_bitwise(self, budget, monkeypatch, t_c, omega0, rwa):
+        # n_traj = chunk_size + 1: the last chunk reads the leading column of
+        # the shared (m, chunk_size) buffer, a view whose rows are strided.
+        p = xo.fastest_pulse(budget, 64)
+        b = xo.BathModel(gamma=0.05, t_c=t_c)
+        cfg = xo.OracleConfig(n_traj=8, seed=13, rwa=rwa, chunk_size=7)
+        chunks = []
+
+        def recording(*args):
+            chunks.append(_chunk_fidelities(*args))
+            return chunks[-1]
+
+        monkeypatch.setattr(montecarlo, "_chunk_fidelities", recording)
+        xo.simulate_transfer(p, b, omega0, cfg)
+        assert [f.size for f in chunks] == [7, 1]
+        v_steps, dt = chunk_setup(p, b, omega0, cfg)
+        whole = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, 0, cfg.n_traj)
+        assert np.array_equal(np.concatenate(chunks), whole)
+
 
 class TestBlockEdges:
-    """Step counts off the step block and chunks off the trajectory tile.
+    """Step counts off the step block, and chunks of several sizes.
 
     A 37-segment pulse gives 74 or 333 steps, not multiples of the 8-step
-    block; chunks of 1, 7, 65 and 257 trajectories are not multiples of the
-    256-trajectory tile of the noise copy, and 600 trajectories leave a
-    ragged last tile in the whole chunk.
+    block; chunks of 1, 7, 65 and 257 trajectories, and the whole chunk of
+    600, are split differently into the noise sampler's tiles.
     """
 
     @pytest.mark.parametrize("t_c, omega0, rwa, steps", [
@@ -210,7 +229,6 @@ class TestBlockEdges:
         v_steps, dt = chunk_setup(p, b, omega0, cfg)
         assert v_steps.size == steps and steps % montecarlo._BLOCK_STEPS != 0
         whole = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, 0, cfg.n_traj)
-        assert cfg.n_traj % montecarlo._TILE_TRAJ != 0
         for size in (1, 7, 65, 257):
             n = min(cfg.n_traj, 3 * size + 5)
             parts = np.concatenate([
@@ -250,13 +268,6 @@ class TestSectorsAgainstExplicitProducts:
                 u *= np.exp(1j * (self.OMEGA0 + zk) * dt)
             want = np.exp(-1j * self.OMEGA0 * p.t_f) * u
             assert abs(amp_ground[j] - want) <= 1e-12
-
-    def test_without_even_sector(self, budget):
-        p, b, cfg, v_steps, dt, noise = self.setup_problem(budget, include_even=False)
-        f = _chunk_fidelities(p, b, self.OMEGA0, cfg, v_steps, dt, 0, cfg.n_traj)
-        for j in range(cfg.n_traj):
-            want = six_state_fidelity(1.0, self.transferred(v_steps, noise[:, j], dt))
-            assert f[j] == pytest.approx(want, abs=1e-12)
 
     def test_driven_even_sector(self, budget):
         p, b, cfg, v_steps, dt, noise = self.setup_problem(budget, rwa=False)
