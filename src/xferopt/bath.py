@@ -29,7 +29,8 @@ product is therefore two banded triangular solves, O(N) and without a
 kernel table.  The same factor generates the stationary Ornstein-Uhlenbeck
 samples: ``b = L^{-1} d`` with ``d_0 = sigma xi_0`` and
 ``d_k = sigma sqrt(1 - rho^2) xi_k``, one column per trajectory of the
-oracle's time-major ``(steps, trajectories)`` noise block.  Both use :func:`_exp_solve`.
+oracle's time-major ``(steps, trajectories)`` noise block.  Both use one
+:class:`_ExpFactor`, built once per grid.
 """
 
 from __future__ import annotations
@@ -90,22 +91,44 @@ def spectrum(b: BathModel, omega):
     return float(out) if out.ndim == 0 else out
 
 
-def _exp_solve(rho: float, rhs: np.ndarray, transpose: bool = False, overwrite: bool = False) -> np.ndarray:
-    """Solve ``(I - rho S) x = rhs``, or its transpose, along the first axis.
+class _ExpFactor:
+    """The factor ``L = I - rho S`` of the exponential kernel on ``n`` samples of ``dt``.
 
-    ``rhs`` is 1-d or has one column per right-hand side.  Forward (or, with
-    ``transpose``, backward) substitution of the recursion
-    ``x_k = rhs_k + rho x_{k-1}``, one column at a time, so each column's
-    result does not depend on the others.  With ``overwrite`` a
-    Fortran-ordered ``rhs`` is solved in place.
+    Holds ``rho = exp(-dt/t_c)``, the kernel's zero-lag value
+    ``c0 = corr_norm gamma / t_c`` and the LAPACK band of ``L``, so a caller
+    that solves on one grid many times builds them once.  Requires ``t_c > 0``.
     """
-    band = np.empty((2, rhs.shape[0]))
-    band[0] = 1.0  # unit diagonal, not referenced with diag="U"
-    band[1] = -rho
-    x, info = dtbtrs(band, rhs, uplo="L", trans="T" if transpose else "N", diag="U", overwrite_b=overwrite)
-    if info != 0:
-        raise RuntimeError(f"banded triangular solve failed: LAPACK dtbtrs info = {info}")
-    return x
+
+    def __init__(self, b: BathModel, dt: float, n: int):
+        self.rho = np.exp(-dt / b.t_c)
+        self.c0 = b.corr_norm * b.gamma / b.t_c
+        self._band = np.empty((2, n))
+        self._band[0] = 1.0  # unit diagonal, not referenced with diag="U"
+        self._band[1] = -self.rho
+
+    def solve(self, rhs: np.ndarray, transpose: bool = False, overwrite: bool = False) -> np.ndarray:
+        """Solve ``L x = rhs``, or ``L^T x = rhs``, along the first axis.
+
+        ``rhs`` is 1-d or has one column per right-hand side.  Forward (or,
+        with ``transpose``, backward) substitution of the recursion
+        ``x_k = rhs_k + rho x_{k-1}``, one column at a time, so each column's
+        result does not depend on the others.  With ``overwrite`` a
+        Fortran-ordered ``rhs`` is solved in place.
+        """
+        # Positional (uplo, trans, diag, overwrite_b): keywords cost ~2 us
+        # per call in the f2py wrapper, twice per optimiser step.
+        x, info = dtbtrs(self._band, rhs, "L", "T" if transpose else "N", "U", overwrite)
+        if info != 0:
+            raise RuntimeError(f"banded triangular solve failed: LAPACK dtbtrs info = {info}")
+        return x
+
+    def product(self, y: np.ndarray) -> np.ndarray:
+        """``K y = c0 (L^{-1} y + L^{-T} y - y)``, with samples along the first axis."""
+        out = self.solve(y)
+        out += self.solve(y, transpose=True)
+        out -= y
+        out *= self.c0
+        return out
 
 
 def kernel_product(b: BathModel, dt: float, y):
@@ -117,9 +140,7 @@ def kernel_product(b: BathModel, dt: float, y):
     if b.is_markovian:
         raise ValueError("kernel product undefined at t_c = 0; use the Markovian closed form")
     y = np.asarray(y, dtype=float)
-    rho = np.exp(-dt / b.t_c)
-    c0 = b.corr_norm * b.gamma / b.t_c
-    return c0 * (_exp_solve(rho, y) + _exp_solve(rho, y, transpose=True) - y)
+    return _ExpFactor(b, dt, y.shape[0]).product(y)
 
 
 def _check_uniform_grid(grid: np.ndarray) -> float:
@@ -163,6 +184,12 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     tile = np.empty((min(count, _NOISE_TILE), m))
+    if b.is_markovian:
+        white = np.sqrt(2.0 * b.corr_norm * b.gamma / dt)
+    else:
+        factor = _ExpFactor(b, dt, m)
+        sigma = np.sqrt(factor.c0)
+        step = sigma * np.sqrt(1.0 - factor.rho * factor.rho)
     for j0 in range(0, count, _NOISE_TILE):
         xi = tile[: min(_NOISE_TILE, count - j0)]
         for index, row in enumerate(xi, first + j0):
@@ -170,15 +197,13 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
             bits.state = state
             rng.standard_normal(out=row)
         if b.is_markovian:
-            xi *= np.sqrt(2.0 * b.corr_norm * b.gamma / dt)
+            xi *= white
             out[:, j0 : j0 + len(xi)] = xi.T
         else:
-            rho = np.exp(-dt / b.t_c)
-            sigma = np.sqrt(b.corr_norm * b.gamma / b.t_c)
             start = sigma * xi[:, 0]
-            xi *= sigma * np.sqrt(1.0 - rho * rho)
+            xi *= step
             xi[:, 0] = start
-            out[:, j0 : j0 + len(xi)] = _exp_solve(rho, xi.T, overwrite=True)
+            out[:, j0 : j0 + len(xi)] = factor.solve(xi.T, overwrite=True)
     return out
 
 

@@ -23,11 +23,16 @@ with the modulation spectrum
 Both routes discretise the time integrals by the trapezoid rule on the pulse
 grid, so they evaluate the same quadratic form and agree to quadrature
 accuracy; they serve as mutual cross-checks.  The time-domain route is the
-production path: :func:`bath_value_grad` computes the quadratic form and its
-exact gradient in one pass, with both integrands as the two columns of one
-O(N) kernel product (:func:`xferopt.bath.kernel_product`), or with the
-memoryless closed form when ``t_c = 0``.  Every time-domain entry point and
-the optimiser call it.  The frequency route factors each transform in two
+production path, written once in :class:`_BathForm`: the quadratic form and
+its exact gradient in one pass, with both integrands as the two columns of
+one O(N) kernel product through the grid's kernel factor
+(:class:`xferopt.bath._ExpFactor`), or with the memoryless closed form of
+kernel area ``2 corr_norm gamma`` when ``t_c = 0``.  A form is a plan for
+one grid: it holds the trapezoid weights, the factor and its buffers, so
+the optimiser builds one per design problem and evaluates every step from
+it, while :func:`bath_value_grad`, which every time-domain entry point
+calls, builds a one-off form per call.  Both give the same bits.  The
+frequency route factors each transform in two
 levels: with sample index ``k = q B + r`` and ``B ~ sqrt(N)``, a table of
 ``e^{-i omega r dt}`` (B entries per frequency) feeds one matrix product
 with the blocked samples of both integrands, and a table of
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bath import BathModel, kernel_product
+from .bath import BathModel, _ExpFactor
 from .pulse import Pulse
 
 X1_WEIGHT = 2.0 / 3.0
@@ -78,33 +83,82 @@ def _trap_weights(n_samples: int, dt: float) -> np.ndarray:
     return w
 
 
+class _BathForm:
+    """The trapezoid quadratic form of the bath on one grid, with its exact gradient.
+
+    Built once per grid of ``n_samples`` samples of spacing ``dt``: it holds
+    the trapezoid weights, the kernel factor (:class:`xferopt.bath._ExpFactor`)
+    and the buffers of one evaluation, so repeated evaluations on one grid,
+    as in the optimiser, pay no set-up.  At ``t_c = 0`` the kernel is
+    ``D delta(t - t')`` with the kernel area ``D = 2 corr_norm gamma``.
+    """
+
+    def __init__(self, b: BathModel, n_samples: int, dt: float):
+        self.noiseless = b.gamma == 0.0
+        self.n = n_samples
+        w = _trap_weights(n_samples, dt)
+        self.w = w
+        if b.is_markovian:
+            self.factor = None
+            self.area = 2.0 * b.corr_norm * b.gamma
+            # The gradient's weight 2 D w, rounded as (D w) 2.
+            self.w2 = self.area * w * 2.0
+        else:
+            self.factor = _ExpFactor(b, dt, n_samples)
+            self.w2 = w * 2.0
+            # Both weighted integrands, one row each: y.T is the
+            # Fortran-ordered two-column right-hand side of the factor.
+            self.y = np.empty((2, n_samples))
+
+    def value_grad(self, phi: np.ndarray):
+        """Value and gradient over the interior samples ``phi_1 .. phi_{N-1}``."""
+        if self.noiseless:
+            return 0.0, np.zeros(self.n - 2)
+        w = self.w
+        x1 = np.cos(phi)
+        x1 *= x1
+        phi2 = 2.0 * phi
+        x2 = np.sin(phi2)
+        if self.factor is None:
+            # r = D x, with D applied last as in the closed form.
+            t = X1_WEIGHT * x1
+            t *= x1
+            t2 = X2_WEIGHT * x2
+            t2 *= x2
+            t += t2
+            t *= w
+            value = self.area * float(np.add.reduce(t))
+            r1, r2 = x1, x2
+        else:
+            # r = K y: the kernel applied to both weighted integrands in one product.
+            y = self.y
+            np.multiply(w, x1, out=y[0])
+            np.multiply(w, x2, out=y[1])
+            r1, r2 = self.factor.product(y.T).T
+            value = X1_WEIGHT * float(y[0].dot(r1)) + X2_WEIGHT * float(y[1].dot(r2))
+        # w2 [X1 r1 (-x2) + X2 r2 2 cos 2phi], with a + (-b) written a - b.
+        grad = X2_WEIGHT * r2
+        grad *= 2.0
+        grad *= np.cos(phi2, out=phi2)
+        t1 = X1_WEIGHT * r1
+        t1 *= x2
+        grad -= t1
+        grad *= self.w2
+        return value, grad[1:-1]
+
+
 def bath_value_grad(phases, dt: float, b: BathModel):
     """Bath infidelity of the grid phases and its exact gradient.
 
     Evaluates the trapezoid quadratic form of the kernel (the memoryless
-    integrand ``gamma [(2/3) cos^4 phi + (1/2) sin^2 2phi]`` when ``t_c = 0``)
-    and differentiates it with ``d cos^2 phi / d phi = -sin 2phi`` and
-    ``d sin 2phi / d phi = 2 cos 2phi``.  Returns ``(value, grad)`` with one
-    gradient entry per interior sample ``phi_1 .. phi_{N-1}``.
+    integrand ``D [(2/3) cos^4 phi + (1/2) sin^2 2phi]`` with the kernel area
+    ``D = 2 corr_norm gamma`` when ``t_c = 0``) and differentiates it with
+    ``d cos^2 phi / d phi = -sin 2phi`` and ``d sin 2phi / d phi = 2 cos 2phi``.
+    Returns ``(value, grad)`` with one gradient entry per interior sample
+    ``phi_1 .. phi_{N-1}``.  A one-off :class:`_BathForm` of the grid.
     """
     phi = np.asarray(phases, dtype=float)
-    if b.gamma == 0.0:
-        return 0.0, np.zeros(phi.size - 2)
-    w = _trap_weights(phi.size, dt)
-    x1, x2 = _integrands(phi)
-    if b.is_markovian:
-        # The kernel is gamma delta(t - t'), so r = gamma x, with gamma
-        # applied last as in the closed form.
-        value = b.gamma * float(np.sum(w * (X1_WEIGHT * x1 * x1 + X2_WEIGHT * x2 * x2)))
-        r1, r2, scale = x1, x2, b.gamma
-    else:
-        # r = K y: the kernel applied to both weighted integrands in one product.
-        y = w * np.stack((x1, x2))
-        r1, r2 = kernel_product(b, dt, y.T).T
-        value = X1_WEIGHT * float(y[0] @ r1) + X2_WEIGHT * float(y[1] @ r2)
-        scale = 1.0
-    grad = scale * w * 2.0 * (X1_WEIGHT * r1 * -x2 + X2_WEIGHT * r2 * 2.0 * np.cos(2.0 * phi))
-    return value, grad[1:-1]
+    return _BathForm(b, phi.size, dt).value_grad(phi)
 
 
 def infidelity_time(p: Pulse, b: BathModel) -> float:

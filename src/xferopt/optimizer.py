@@ -26,6 +26,16 @@ memoryless closed form when ``t_c = 0``; both with their exact gradient from
 reaches ``w`` by the chain rule: a reverse cumulative sum to the increments,
 then projection onto the sphere's tangent space.
 
+The objective is planned once per problem (:class:`_Plan`): the sphere's
+centre and radius, the bath form of the grid (trapezoid weights, kernel
+factor, buffers) and the leakage switch.  Each L-BFGS-B step then maps ``w``
+to the objective and its gradient over the start's reference value in one
+pass: the phases are built once and shared by the bath and leakage terms.
+The solver's path is chaotic in the last bit of the objective, so the plan
+keeps every value and gradient bitwise equal to the objective written out
+from :func:`xferopt.fidelity.bath_value_grad`, the leakage gradient, the
+sphere map and the chain rule; a test pins this.
+
 Multistart templates (the fastest ramp followed by a hold, the rescaled
 memoryless-optimal profile, and an overshoot ansatz) mitigate the local
 minima of echo-like landscapes; the best start wins, with ties broken by
@@ -34,13 +44,14 @@ the fixed start order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .bath import BathModel
-from .fidelity import InfidelityBreakdown, bath_value_grad
+from .fidelity import InfidelityBreakdown, _BathForm
 from .leakage import leakage_value_grad
 from .markovian import solve_markovian_profile
 from .pulse import HALF_PI, EnergyBudget, Pulse, pulse_energy
@@ -122,34 +133,6 @@ class SweepRecord:
     pulse: Pulse | None = field(default=None, repr=False, compare=False)
 
 
-class _Objective:
-    """Physical objective and its gradient over the interior phases."""
-
-    def __init__(self, prob: OptimizationProblem, include_leakage: bool):
-        self.prob = prob
-        self.n = prob.grid_n
-        self.dt = prob.t_f / self.n
-        self.leakage = include_leakage and prob.omega0 > 0.0 and prob.leak_weight > 0.0
-
-    def full_phases(self, theta: np.ndarray) -> np.ndarray:
-        phi = np.empty(self.n + 1)
-        phi[0] = 0.0
-        phi[-1] = HALF_PI
-        phi[1:-1] = theta
-        return phi
-
-    def value_grad(self, theta: np.ndarray):
-        """Total objective (bath + weighted leakage) and its gradient."""
-        phi = self.full_phases(theta)
-        val, grad = bath_value_grad(phi, self.dt, self.prob.bath)
-        pop = 0.0
-        if self.leakage:
-            pop, gpop = leakage_value_grad(phi, self.dt, self.prob.omega0)
-            val = val + self.prob.leak_weight * pop
-            grad = grad + self.prob.leak_weight * gpop
-        return val, grad, pop
-
-
 def _template_phases(name: str, prob: OptimizationProblem) -> np.ndarray:
     t = np.linspace(0.0, prob.t_f, prob.grid_n + 1)
     if name == "ramp":
@@ -169,51 +152,85 @@ def _template_phases(name: str, prob: OptimizationProblem) -> np.ndarray:
     return np.asarray(phi, dtype=float)
 
 
-class _Sphere:
-    """The feasible set as a sphere of phase increments ``d = c + r u``.
+class _Plan:
+    """The design objective of one problem, built once and evaluated at every step.
 
-    The variables are ``w``; ``u`` is the unit vector along the mean-free
-    part of ``w``.
+    Holds the feasible set as a sphere of phase increments ``d = c + r u``
+    (the variables are ``w``; ``u`` is the unit vector along the mean-free
+    part of ``w``), the bath form of the grid and whether the leakage term
+    is on.
     """
 
-    def __init__(self, prob: OptimizationProblem):
+    def __init__(self, prob: OptimizationProblem, include_leakage: bool):
+        self.prob = prob
         self.n = prob.grid_n
+        self.dt = prob.t_f / self.n
         self.c = HALF_PI / self.n
         self.r = float(np.sqrt(max(prob.budget.energy * prob.t_f - HALF_PI * HALF_PI, 0.0) / self.n))
+        self.leakage = include_leakage and prob.omega0 > 0.0 and prob.leak_weight > 0.0
+        self.bath = _BathForm(prob.bath, self.n + 1, self.dt)
 
     def start(self, phi0: np.ndarray) -> np.ndarray:
         w = np.diff(phi0) - self.c
-        w -= w.mean()
-        return w / np.linalg.norm(w)
+        w -= np.add.reduce(w) / self.n
+        return w / math.sqrt(w.dot(w))
 
     def phases(self, w: np.ndarray):
         """Full phases (exact endpoints), the unit direction and ``|P w|``."""
-        v = w - w.mean()
-        v -= v.mean()  # the rounding of the first pass, when |P w| << |w|
-        norm = float(np.linalg.norm(v))
-        u = v / norm
-        phi = np.empty(self.n + 1)
+        n = self.n
+        u = w - np.add.reduce(w) / n
+        u -= np.add.reduce(u) / n  # the rounding of the first pass, when |P w| << |w|
+        norm = math.sqrt(u.dot(u))
+        u /= norm
+        d = self.r * u
+        d += self.c
+        phi = np.empty(n + 1)
         phi[0] = 0.0
-        np.cumsum(self.c + self.r * u, out=phi[1:])
+        d.cumsum(out=phi[1:])
         phi[-1] = HALF_PI
         return phi, u, norm
 
+    def value_grad(self, phi: np.ndarray):
+        """Total objective (bath + weighted leakage), its interior-phase gradient and the leakage."""
+        val, grad = self.bath.value_grad(phi)
+        pop = 0.0
+        if self.leakage:
+            pop, gpop = leakage_value_grad(phi, self.dt, self.prob.omega0)
+            val = val + self.prob.leak_weight * pop
+            gpop *= self.prob.leak_weight
+            grad += gpop
+        return val, grad, pop
+
     def gradient(self, u: np.ndarray, norm: float, g_interior: np.ndarray) -> np.ndarray:
         """Chain rule from the interior-phase gradient to the variables."""
-        gd = np.zeros(self.n)
-        gd[:-1] = np.cumsum(g_interior[::-1])[::-1]
-        gu = self.r * gd
-        gw = gu - u * (u @ gu)
-        gw -= gw.mean()
-        return gw / norm
+        gw = np.empty(self.n)
+        gw[-1] = 0.0
+        g_interior[::-1].cumsum(out=gw[-2::-1])
+        gw *= self.r
+        gw -= u * u.dot(gw)
+        gw -= np.add.reduce(gw) / self.n
+        gw /= norm
+        return gw
+
+    def scaled(self, j_ref: float):
+        """The solver's function: ``w`` to the objective and its gradient, both over ``j_ref``."""
+
+        def fun(w):
+            phi, u, norm = self.phases(w)
+            val, grad, _ = self.value_grad(phi)
+            gw = self.gradient(u, norm, grad)
+            gw /= j_ref
+            return val / j_ref, gw
+
+        return fun
 
 
-def _result(obj: _Objective, phi: np.ndarray, label: str, iterations: int, converged: bool,
+def _result(plan: _Plan, phi: np.ndarray, label: str, iterations: int, converged: bool,
             history: tuple) -> OptimizationResult:
-    prob = obj.prob
+    prob = plan.prob
     pulse = Pulse(t_f=prob.t_f, phases=phi)
-    val, _, pop = obj.value_grad(phi[1:-1])
-    leak_pen = prob.leak_weight * pop if obj.leakage else 0.0
+    val, _, pop = plan.value_grad(phi)
+    leak_pen = prob.leak_weight * pop if plan.leakage else 0.0
     used = pulse_energy(pulse)
     breakdown = InfidelityBreakdown(bath_infidelity=max(val - leak_pen, 0.0), leakage_penalty=leak_pen)
     return OptimizationResult(
@@ -228,50 +245,44 @@ def _result(obj: _Objective, phi: np.ndarray, label: str, iterations: int, conve
     )
 
 
-def _solve_from(obj: _Objective, sphere: _Sphere, phi0: np.ndarray, label: str) -> OptimizationResult:
-    prob = obj.prob
-    x0 = sphere.start(phi0)
-    phi, _, _ = sphere.phases(x0)
-    j0, _, pop0 = obj.value_grad(phi[1:-1])
+def _solve_from(plan: _Plan, phi0: np.ndarray, label: str) -> OptimizationResult:
+    prob = plan.prob
+    x0 = plan.start(phi0)
+    phi, _, _ = plan.phases(x0)
+    j0, _, pop0 = plan.value_grad(phi)
     # The start's bath infidelity sets the scale that gtol is relative to: a
     # heavy leakage penalty at the start would make gtol loose at the optimum.
     bath0 = j0 - prob.leak_weight * pop0
     j_ref = max(bath0 if bath0 > 0.0 else abs(j0), 1e-12)
-    gtol = _GTOL_LEAKAGE if obj.leakage else _GTOL
+    gtol = _GTOL_LEAKAGE if plan.leakage else _GTOL
     history = [j0]
-
-    def fun(x):
-        phi, u, norm = sphere.phases(x)
-        val, grad, _ = obj.value_grad(phi[1:-1])
-        return val / j_ref, sphere.gradient(u, norm, grad) / j_ref
 
     def record(intermediate_result):
         history.append(intermediate_result.fun * j_ref)
 
     res = minimize(
-        fun,
+        plan.scaled(j_ref),
         x0,
         jac=True,
         method="L-BFGS-B",
         callback=record,
         options={"maxiter": _MAX_ITER, "maxfun": 3 * _MAX_ITER, "ftol": 1e-16, "gtol": gtol, "maxcor": 30},
     )
-    phi, _, norm = sphere.phases(res.x)
+    phi, _, norm = plan.phases(res.x)
     # L-BFGS-B also stops (on ftol, or in its line search) at optima whose
     # gradient rounding keeps just above gtol, so the gradient itself decides:
     # its largest entry on the unit sphere, max|jac| |P w|.
     converged = float(np.max(np.abs(res.jac))) * norm <= _CONVERGED_GTOL_FACTOR * gtol
-    return _result(obj, phi, label, int(res.nit), converged, tuple(history))
+    return _result(plan, phi, label, int(res.nit), converged, tuple(history))
 
 
 def _optimize(prob: OptimizationProblem, include_leakage: bool) -> OptimizationResult:
-    obj = _Objective(prob, include_leakage)
-    sphere = _Sphere(prob)
-    if sphere.r == 0.0:
+    plan = _Plan(prob, include_leakage)
+    if plan.r == 0.0:
         # t_f = t_min: the ramp is the only feasible pulse.
         phi = np.linspace(0.0, HALF_PI, prob.grid_n + 1)
-        return _result(obj, phi, "ramp", 0, True, (obj.value_grad(phi[1:-1])[0],))
-    results = [_solve_from(obj, sphere, _template_phases(label, prob), label) for label in prob.starts]
+        return _result(plan, phi, "ramp", 0, True, (plan.value_grad(phi)[0],))
+    results = [_solve_from(plan, _template_phases(label, prob), label) for label in prob.starts]
     # min keeps the first of equal keys: the fixed start order breaks ties.
     return min(results, key=lambda res: (not res.converged, res.breakdown.total))
 

@@ -81,6 +81,15 @@ class TestTimeFreqAgreement:
         expected = GAMMA * np.pi ** 2 / (8 * ENERGY)
         assert xo.infidelity_freq(p, b) == pytest.approx(expected, rel=1e-3)
 
+    @pytest.mark.parametrize("corr_norm", [0.5, 1.0, 3.0])
+    def test_memoryless_weight_is_the_kernel_area(self, budget, corr_norm):
+        # Both paths weigh the white kernel by its area 2 corr_norm gamma.
+        p = xo.fastest_pulse(budget, 64)
+        b = xo.BathModel(gamma=0.04, t_c=0.0, corr_norm=corr_norm)
+        time_path = xo.bath_infidelity(p, b)
+        assert xo.infidelity_freq(p, b) == pytest.approx(time_path, rel=1e-9, abs=0.0)
+        assert time_path == pytest.approx(2.0 * corr_norm * xo.infidelity_markovian(p, 0.04), rel=1e-15)
+
     def test_zero_gamma(self, budget):
         p = xo.fastest_pulse(budget, 64)
         assert xo.infidelity_freq(p, xo.BathModel(gamma=0.0, t_c=1.0)) == 0.0
@@ -258,7 +267,7 @@ class TestBathValueGrad:
         w = trap_weights(phases.size, dt)
         x1, x2 = np.cos(phases) ** 2, np.sin(2 * phases)
         if b.is_markovian:
-            k = b.gamma * np.diag(1.0 / w)
+            k = 2.0 * b.corr_norm * b.gamma * np.diag(1.0 / w)
         else:
             k = dense_kernel(b, phases.size, dt)
         r1, r2 = k @ (w * x1), k @ (w * x2)

@@ -6,7 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 import xferopt as xo
 from xferopt import optimizer
-from xferopt.optimizer import _Objective, _Sphere
+from xferopt.fidelity import bath_value_grad
+from xferopt.leakage import leakage_value_grad
+from xferopt.optimizer import _Plan
 from conftest import ENERGY, GAMMA
 
 
@@ -105,7 +107,7 @@ class TestSphere:
         w = offset + scale * z
         assume(np.ptp(w) > 0.0)
         prob = small_problem(t_f=tf_ratio, n=n)
-        phi, _, _ = _Sphere(prob).phases(w)
+        phi, _, _ = _Plan(prob, include_leakage=False).phases(w)
         assert phi[0] == 0.0
         assert phi[-1] == np.pi / 2
         used = xo.pulse_energy(xo.make_pulse(phi, prob.t_f))
@@ -120,8 +122,7 @@ class TestSphere:
     )
     def test_gradient_matches_central_differences(self, n, tf_ratio, t_c, omega0, seed):
         prob = small_problem(t_c=t_c, t_f=tf_ratio, n=n, omega0=omega0)
-        obj = _Objective(prob, include_leakage=True)
-        sphere = _Sphere(prob)
+        plan = _Plan(prob, include_leakage=True)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=n)
         tangent = rng.normal(size=n)  # mean-free and orthogonal to u
@@ -132,15 +133,71 @@ class TestSphere:
         steps = [tangent, rng.normal(size=n)]
 
         def f(y):
-            phi, _, _ = sphere.phases(y)
-            return obj.value_grad(phi[1:-1])[0]
+            phi, _, _ = plan.phases(y)
+            return plan.value_grad(phi)[0]
 
-        phi, u, norm = sphere.phases(x)
-        grad = sphere.gradient(u, norm, obj.value_grad(phi[1:-1])[1])
+        phi, u, norm = plan.phases(x)
+        grad = plan.gradient(u, norm, plan.value_grad(phi)[1])
         h = 1e-5
         for step in steps:
             fd = (f(x + h * step) - f(x - h * step)) / (2 * h)
             assert grad @ step == pytest.approx(fd, rel=1e-6, abs=1e-9 * f(x))
+
+
+class TestEvaluationIsBitwise:
+    """The solver's function against the objective written out from public parts.
+
+    L-BFGS-B's path is chaotic in the last bit of the objective, so the
+    designs stay the same only while every evaluation does: this pins the
+    plan's evaluation to the documented sphere map, the reverse-cumsum chain
+    rule and the public value-gradient functions, bit for bit.
+    """
+
+    @staticmethod
+    def reference(prob, include_leakage, j_ref, w):
+        n = prob.grid_n
+        dt = prob.t_f / n
+        c = (np.pi / 2) / n
+        r = float(np.sqrt(max(prob.budget.energy * prob.t_f - (np.pi / 2) * (np.pi / 2), 0.0) / n))
+        # d = c + r P w / |P w|, P removing the mean (twice, as documented).
+        v = w - w.mean()
+        v -= v.mean()
+        norm = float(np.linalg.norm(v))
+        u = v / norm
+        phi = np.empty(n + 1)
+        phi[0] = 0.0
+        np.cumsum(c + r * u, out=phi[1:])
+        phi[-1] = np.pi / 2
+        val, grad = bath_value_grad(phi, dt, prob.bath)
+        if include_leakage:
+            pop, gpop = leakage_value_grad(phi, dt, prob.omega0)
+            val = val + prob.leak_weight * pop
+            grad = grad + prob.leak_weight * gpop
+        # Interior phases are partial sums of the increments: reverse cumsum.
+        gd = np.zeros(n)
+        gd[:-1] = np.cumsum(grad[::-1])[::-1]
+        gu = r * gd
+        gw = gu - u * (u @ gu)
+        gw -= gw.mean()
+        return val / j_ref, gw / norm / j_ref
+
+    @pytest.mark.parametrize("n", [320, 512])
+    @pytest.mark.parametrize("omega0", [0.0, np.pi])
+    @pytest.mark.parametrize("gamma, t_c", [(0.02, 0.0), (0.02, 10.0), (0.0, 10.0)])
+    def test_matches_reference(self, gamma, t_c, omega0, n):
+        prob = xo.OptimizationProblem(bath=xo.BathModel(gamma=gamma, t_c=t_c), budget=xo.EnergyBudget(ENERGY),
+                                      t_f=4.0, omega0=omega0, grid_n=n)
+        j_ref = 3.7e-3
+        fun = _Plan(prob, include_leakage=True).scaled(j_ref)
+        rng = np.random.default_rng(n)
+        # Several draws through one plan: its buffers carry nothing over.
+        for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+            w = scale * rng.normal(size=n) + rng.normal()
+            val, grad = fun(w)
+            want_val, want_grad = self.reference(prob, omega0 > 0.0, j_ref, w)
+            assert val == want_val
+            assert grad.dtype == want_grad.dtype
+            np.testing.assert_array_equal(grad.view(np.uint64), want_grad.view(np.uint64))
 
 
 class TestDeterminism:
@@ -169,19 +226,20 @@ class TestLeakagePath:
         # Includes the leakage term, so this exercises the exact even-sector
         # gradient end to end; checked at every stride-th interior phase.
         prob = small_problem(t_c=0.8, t_f=2.0, n=n, omega0=2.0, leak_weight=0.5)
-        obj = _Objective(prob, include_leakage=True)
+        plan = _Plan(prob, include_leakage=True)
         rng = np.random.default_rng(8)
-        theta = np.linspace(0, np.pi / 2, n + 1)[1:-1] + rng.normal(0, 0.05, n - 1)
-        _, grad, _ = obj.value_grad(theta)
+        phi = np.linspace(0, np.pi / 2, n + 1)
+        phi[1:-1] += rng.normal(0, 0.05, n - 1)
+        _, grad, _ = plan.value_grad(phi)
         idx = np.arange(0, n - 1, stride)
         fd = np.zeros(idx.size)
         h = 1e-6
         for j, i in enumerate(idx):
-            tp = theta.copy()
-            tp[i] += h
-            up, _, _ = obj.value_grad(tp)
-            tp[i] -= 2 * h
-            dn, _, _ = obj.value_grad(tp)
+            tp = phi.copy()
+            tp[i + 1] += h
+            up, _, _ = plan.value_grad(tp)
+            tp[i + 1] -= 2 * h
+            dn, _, _ = plan.value_grad(tp)
             fd[j] = (up - dn) / (2 * h)
         assert np.max(np.abs(grad[idx] - fd)) <= 2e-5 * max(np.max(np.abs(fd)), 1e-12)
 
