@@ -73,6 +73,13 @@ def _bath_from(args, cfg) -> BathModel:
     return BathModel(gamma=gamma, t_c=t_c, corr_norm=corr_norm)
 
 
+def _omega0_from(args, cfg) -> float:
+    omega0 = float(_pick(args.omega0, cfg, "system.omega0", 0.0))
+    if not 0.0 <= omega0 < np.inf:
+        raise ValueError(f"system.omega0 / --omega0 must be finite and nonnegative, got {omega0}")
+    return omega0
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -88,7 +95,7 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
     pulse = read_pulse_csv(args.pulse)
     bath = _bath_from(args, cfg)
-    omega0 = float(_pick(args.omega0, cfg, "system.omega0", 0.0))
+    omega0 = _omega0_from(args, cfg)
     energy = _pick(args.energy, cfg, "control.energy")
     used = pulse_energy(pulse)
     budget = EnergyBudget(float(energy)) if energy is not None else EnergyBudget(used)
@@ -125,7 +132,7 @@ def _problem_opts(args, cfg) -> dict:
     """The :class:`OptimizationProblem` fields that optimize and sweep share."""
     opts = {
         "grid_n": _pick(args.grid_n, cfg, "control.grid_n", 512),
-        "omega0": float(_pick(args.omega0, cfg, "system.omega0", 0.0)),
+        "omega0": _omega0_from(args, cfg),
         "leak_weight": float(_pick(args.leak_weight, cfg, "optimizer.leak_weight", 0.5)),
     }
     starts = _pick(args.starts, cfg, "optimizer.starts")
@@ -211,7 +218,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_markovian(args) -> int:
-    profile = solve_markovian_profile(args.tol)
+    profile = solve_markovian_profile()
     print(f"e_M = {_fmt(profile.e_m)}")
     print(f"optimal_coefficient = {_fmt(profile.e_m ** 2)}")
     if args.out:
@@ -249,7 +256,7 @@ def cmd_oracle(args) -> int:
     cfg = _load_config(args.config)
     pulse = read_pulse_csv(args.pulse)
     bath = _bath_from(args, cfg)
-    omega0 = float(_pick(args.omega0, cfg, "system.omega0", 0.0))
+    omega0 = _omega0_from(args, cfg)
     ocfg = OracleConfig(
         n_traj=_pick(args.n_traj, cfg, "oracle.n_traj", 10000),
         seed=_pick(args.seed, cfg, "oracle.seed", 0),
@@ -302,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = add_parser("markovian", help="solve the memoryless optimal profile")
-    sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--out", default=None, help="profile CSV (x,phi,dphi)")
     sp.set_defaults(func=cmd_markovian)
 

@@ -171,8 +171,8 @@ def propagate_even(p: Pulse, omega0: float, initial=(1.0 + 0.0j, 0.0j), return_t
     Unitarity is exact up to roundoff.  With ``return_trajectory`` the
     amplitudes after every grid node are returned as an ``(N+1, 2)`` array.
     """
-    if omega0 < 0.0:
-        raise ValueError("omega0 must be nonnegative")
+    if not omega0 >= 0.0:
+        raise ValueError(f"omega0 must be nonnegative, got {omega0}")
     gg, ee = _propagate(p.amplitudes(), omega0, p.dt, initial, return_trajectory)
     if not return_trajectory:
         return EvenState(amp_gg=complex(gg), amp_ee=complex(ee))
@@ -191,8 +191,8 @@ def leakage_value_grad(phases, dt: float, omega0: float):
     ``psi_k = M_k |gg>`` and the suffix row ``r_k = <ee| U_tot M_{k+1}^dagger``
     (unitarity of ``M_{k+1}``), so one scan serves both.
     """
-    if omega0 < 0.0:
-        raise ValueError("omega0 must be nonnegative")
+    if not omega0 >= 0.0:
+        raise ValueError(f"omega0 must be nonnegative, got {omega0}")
     v = np.diff(phases) / dt
     a, b, da, db = segment_rotation(v, omega0, dt, derivative=True)
     alpha, beta = _prefix_products(a, b)
@@ -214,8 +214,8 @@ def perturbative_leakage_amplitude(p: Pulse, omega0: float) -> complex:
     Evaluated exactly per constant-amplitude segment.  Meaningful in the
     small-leakage regime (magnitude below roughly 0.3).
     """
-    if omega0 < 0.0:
-        raise ValueError("omega0 must be nonnegative")
+    if not omega0 >= 0.0:
+        raise ValueError(f"omega0 must be nonnegative, got {omega0}")
     v = p.amplitudes()
     t = p.times
     if omega0 == 0.0:
@@ -224,17 +224,17 @@ def perturbative_leakage_amplitude(p: Pulse, omega0: float) -> complex:
     return complex(-np.sum(v * (phase[1:] - phase[:-1])) / (2.0 * omega0))
 
 
-def corrector_energy_estimate(psi_ee: float, available_time: float, kappa: float = DEFAULT_CORRECTOR_KAPPA) -> float:
+def corrector_energy_estimate(psi_ee: float, available_time: float) -> float:
     """Energy needed to empty a residual |ee> amplitude within time ``T``.
 
     Returns ``kappa * |psi_ee|^2 / T``; the inverse-time scaling is the
-    contract, the prefactor is the calibrated default.
+    contract, the prefactor is the calibrated :data:`DEFAULT_CORRECTOR_KAPPA`.
     """
     if not (0.0 <= psi_ee < 1.0):
         raise ValueError(f"psi_ee must lie in [0, 1), got {psi_ee}")
     if available_time <= 0.0:
         raise ValueError("available_time must be positive")
-    return kappa * psi_ee ** 2 / available_time
+    return DEFAULT_CORRECTOR_KAPPA * psi_ee ** 2 / available_time
 
 
 def sinusoidal_corrector_pulse(amplitude: float, chi: float, omega0: float, duration: float, n: int) -> Pulse:
@@ -249,8 +249,7 @@ def sinusoidal_corrector_pulse(amplitude: float, chi: float, omega0: float, dura
     return make_pulse(phases, duration)
 
 
-def minimal_corrector_energy(omega0: float, psi_ee: float, available_time: float,
-                             grid_per_period: int = 64, n_chi: int = 32) -> dict:
+def minimal_corrector_energy(omega0: float, psi_ee: float, available_time: float) -> dict:
     """Minimal energy of a resonant sinusoidal drive returning |ee> to zero.
 
     Seeds the even system with a real amplitude ``psi_ee`` in |ee>, drives it
@@ -264,7 +263,7 @@ def minimal_corrector_energy(omega0: float, psi_ee: float, available_time: float
     if available_time <= 0.0 or omega0 <= 0.0:
         raise ValueError("available_time and omega0 must be positive")
     period = np.pi / omega0
-    n = max(64, int(np.ceil(available_time / period)) * grid_per_period)
+    n = max(64, int(np.ceil(available_time / period)) * 64)  # 64 segments per drive period
     t = np.linspace(0.0, available_time, n + 1)
     init_gg = np.sqrt(1.0 - psi_ee ** 2)
 
@@ -276,7 +275,7 @@ def minimal_corrector_energy(omega0: float, psi_ee: float, available_time: float
         _, e = _propagate(np.diff(phases) / dt, omega0, dt, (init_gg, psi_ee), False)
         return float(abs(e) ** 2)
 
-    chis = np.linspace(0.0, 2.0 * np.pi, n_chi, endpoint=False)
+    chis = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
     amps = a_guess * np.linspace(0.5, 1.8, 24)
     best = None
     for chi in chis:

@@ -62,8 +62,8 @@ class OracleConfig:
     """Monte-Carlo run parameters.
 
     ``dt = None`` picks half the largest admissible step, which is bounded by
-    ``t_c / 10`` (colored noise), ``0.01 / omega0`` (splitting resolution,
-    when driving the even sector matters) and the pulse grid spacing.
+    ``t_c / 10`` (colored noise), ``0.01 / omega0`` (splitting resolution of
+    a driven even sector, ``rwa = False``) and the pulse grid spacing.
     """
 
     n_traj: int
@@ -77,8 +77,8 @@ class OracleConfig:
             raise ValueError("n_traj must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
 
@@ -94,7 +94,7 @@ def _resolve_steps(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig):
     bound = p.dt
     if b.t_c > 0.0:
         bound = min(bound, b.t_c / 10.0)
-    if omega0 > 0.0:
+    if omega0 > 0.0 and not cfg.rwa:
         bound = min(bound, 0.01 / omega0)
     target = cfg.dt if cfg.dt is not None else 0.5 * bound
     if target > bound * (1.0 + 1e-12):
@@ -201,8 +201,8 @@ def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) 
     standard error.  Deterministic for fixed ``(seed, n_traj)``: trajectory
     noise is keyed by index and chunk partial sums combine in index order.
     """
-    if omega0 < 0.0:
-        raise ValueError("omega0 must be nonnegative")
+    if not omega0 >= 0.0:
+        raise ValueError(f"omega0 must be nonnegative, got {omega0}")
     per_segment, dt = _resolve_steps(p, b, omega0, cfg)
     m = p.n_segments * per_segment
     chunk = min(cfg.chunk_size, cfg.n_traj)

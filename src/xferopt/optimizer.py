@@ -53,7 +53,7 @@ from scipy.optimize import minimize
 from .bath import BathModel
 from .fidelity import InfidelityBreakdown, _BathForm
 from .leakage import leakage_value_grad
-from .markovian import solve_markovian_profile
+from .markovian import _rescaled_profile
 from .pulse import HALF_PI, EnergyBudget, Pulse, pulse_energy
 
 # Every start template, in the order that breaks ties between equal optima.
@@ -85,14 +85,13 @@ class OptimizationProblem:
     starts: tuple = DEFAULT_STARTS
 
     def __post_init__(self):
-        if self.t_f < self.budget.t_min * (1.0 - 1e-12):
+        if not self.budget.t_min * (1.0 - 1e-12) <= self.t_f < math.inf:
             raise ValueError(
-                f"infeasible final time: t_f = {self.t_f} is below t_min = {self.budget.t_min}"
+                f"infeasible final time: t_f = {self.t_f} must be finite and at least t_min = {self.budget.t_min}"
             )
-        if self.omega0 < 0.0:
-            raise ValueError("omega0 must be nonnegative")
-        if self.leak_weight < 0.0:
-            raise ValueError("leak_weight must be nonnegative")
+        for name in ("omega0", "leak_weight"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
         if not self.starts:
@@ -140,11 +139,7 @@ def _template_phases(name: str, prob: OptimizationProblem) -> np.ndarray:
         # sphere's centre and has no direction.
         phi = HALF_PI * np.minimum(t / prob.budget.t_min, 1.0)
     elif name == "markovian":
-        profile = solve_markovian_profile()
-        rate = prob.budget.energy / profile.e_m
-        x_end = profile.x_end(1e-8)
-        stretch = max(1.0, x_end / (rate * prob.t_f))
-        phi = profile.phase_at(rate * stretch * t)
+        phi = _rescaled_profile(prob.budget, prob.grid_n, prob.t_f)[1]
     else:  # "overshoot"; the problem admits no other name
         peak = HALF_PI + 0.3
         t_peak = 0.4 * prob.t_f
@@ -310,6 +305,8 @@ def sweep_final_time(bath: BathModel, budget: EnergyBudget, t_f_list, opts: dict
     propagates.  Duplicated final times reuse the first result.
     """
     t_f_list = [float(t) for t in t_f_list]
+    if not all(math.isfinite(t) for t in t_f_list):
+        raise ValueError(f"all sweep final times t_f must be finite, got {t_f_list}")
     if any(t < budget.t_min * (1.0 - 1e-12) for t in t_f_list):
         raise ValueError("all sweep final times must be at least t_min")
     records: dict[float, SweepRecord] = {}

@@ -239,6 +239,33 @@ class TestMarkovianCmd:
         assert header == "x,phi,dphi"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["optimize", "--t-f", "inf"], "t_f"),
+    (["optimize", "--t-f", "3", "--omega0", "nan"], "omega0"),
+    (["optimize", "--t-f", "3", "--omega0", "3", "--leak-weight", "nan"], "leak_weight"),
+    (["sweep", "--t-f-list", "2,nan"], "t_f"),
+    (["leakage", "--omega0", "nan"], "omega0"),
+    (["evaluate", "--omega0", "nan"], "omega0"),
+    (["oracle", "--omega0", "nan"], "omega0"),
+    (["oracle", "--dt", "nan"], "dt"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_non_finite_input_rejected_before_any_work(capsys, tmp_path, fast_pulse_file, argv, name):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    flags = {
+        "optimize": ["--gamma", str(GAMMA), "--energy", str(ENERGY), "--grid-n", "32", "--out", str(out_dir / "p.csv")],
+        "sweep": ["--gamma", str(GAMMA), "--energy", str(ENERGY), "--grid-n", "32", "--out-dir", str(out_dir)],
+        "leakage": ["--pulse", fast_pulse_file, "--out", str(out_dir / "traj.csv")],
+        "evaluate": ["--pulse", fast_pulse_file, "--gamma", str(GAMMA)],
+        "oracle": ["--pulse", fast_pulse_file, "--gamma", str(GAMMA), "--n-traj", "2"],
+    }[argv[0]]
+    code, out, err = run(capsys, argv + flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and name in err
+    assert list(out_dir.iterdir()) == []
+
+
 class TestLeakageCmd:
     def test_reports_population(self, capsys, fast_pulse_file, tmp_path):
         traj = tmp_path / "traj.csv"
@@ -294,11 +321,12 @@ class TestOracleCmd:
         assert err.startswith("error: oracle step grid too fine:") and "256 MiB" in err
 
 
-def test_import_does_not_load_scipy_signal():
-    # scipy.signal takes most of a cold import; no code path needs it.
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])
+def test_import_does_not_load_scipy_module(module):
+    # Each takes a large share of a cold import; no code path needs it.
     src = os.path.dirname(os.path.dirname(xo.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import sys, xferopt; print('scipy.signal' in sys.modules)"
+    code = f"import sys, xferopt; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import xferopt as xo
 from xferopt.markovian import profile_slope
@@ -40,11 +43,22 @@ class TestProfile:
         mask = dx > 0
         assert np.max(np.abs(num[mask] - expect[mask])) < 1e-4
 
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            xo.solve_markovian_profile(1e-3)
-        with pytest.raises(ValueError):
-            xo.solve_markovian_profile(1e-13)
+    @pytest.mark.parametrize("phi", [0.3, 1.0, 1.5, np.pi / 2 - 1e-6])
+    def test_time_matches_quadrature(self, profile, phi):
+        # x(phi) = integral_eps^{pi/2} de / f(e) with eps = pi/2 - phi and
+        # the slope f written in e.
+        eps = np.pi / 2 - phi
+
+        def inverse_slope(e):
+            return 1.0 / math.sqrt(0.5 * math.sin(2.0 * e) ** 2 + (2.0 / 3.0) * math.sin(e) ** 4)
+
+        x_ref = quad(inverse_slope, eps, np.pi / 2, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert profile.x_end(eps) == pytest.approx(x_ref, rel=1e-12)
+        assert profile.phase_at(x_ref) == pytest.approx(phi, abs=1e-10)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8])
+    def test_phase_at_end_time(self, profile, eps):
+        assert profile.phase_at(profile.x_end(eps)) == pytest.approx(np.pi / 2 - eps, abs=1e-12)
 
 
 class TestOptimalPulse:

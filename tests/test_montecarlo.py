@@ -75,6 +75,19 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"\d+ steps x 4096 trajectories per chunk exceed the 256 MiB"):
             xo.simulate_transfer(p, b, 0.0, xo.OracleConfig(n_traj=100_000, dt=p.dt / 64))
 
+    def test_splitting_bounds_the_step_only_for_a_driven_even_sector(self, budget):
+        # Under RWA the even sector is an exact phase at any step.
+        p = xo.fastest_pulse(budget, 256)
+        b = xo.BathModel(gamma=0.05, t_c=0.0)
+        omegas = (0.0, np.pi, 20.0)
+        steps = {rwa: [_resolve_steps(p, b, w, xo.OracleConfig(n_traj=1, rwa=rwa))[0] for w in omegas]
+                 for rwa in (True, False)}
+        assert steps == {True: [2, 2, 2], False: [2, 3, 16]}
+        coarse = xo.OracleConfig(n_traj=1, dt=p.dt)
+        assert _resolve_steps(p, b, 20.0, coarse) == (1, p.dt)
+        with pytest.raises(ValueError, match="dt too coarse"):
+            _resolve_steps(p, b, 20.0, xo.OracleConfig(n_traj=1, dt=p.dt, rwa=False))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             xo.OracleConfig(n_traj=0)
@@ -219,7 +232,7 @@ class TestBlockEdges:
     """
 
     @pytest.mark.parametrize("t_c, omega0, rwa, steps", [
-        (1.0, 0.0, True, 74), (0.0, 0.0, True, 74), (1.0, 1.6, True, 333),
+        (1.0, 0.0, True, 74), (0.0, 0.0, True, 74), (1.0, 1.6, True, 74),
         (1.0, 1.6, False, 333), (0.0, 1.6, False, 333),
     ])
     def test_bitwise_equal_across_chunk_sizes(self, budget, t_c, omega0, rwa, steps):
@@ -282,10 +295,12 @@ class TestSectorsAgainstExplicitProducts:
 
 
 class TestSectorsOnRaggedBlocks(TestSectorsAgainstExplicitProducts):
-    """The same references on 37 segments: 629 steps end in a partial block."""
+    """The same references on 37 segments: 74 steps under RWA and 629 with a
+    driven even sector, each ending in a partial block."""
 
     N_SEGMENTS = 37
 
     def test_step_count_is_ragged(self, budget):
-        _, _, _, v_steps, _, _ = self.setup_problem(budget)
-        assert v_steps.size == 629 and v_steps.size % montecarlo._BLOCK_STEPS != 0
+        for rwa, steps in ((True, 74), (False, 629)):
+            _, _, _, v_steps, _, _ = self.setup_problem(budget, rwa=rwa)
+            assert v_steps.size == steps and steps % montecarlo._BLOCK_STEPS != 0
