@@ -303,14 +303,11 @@ def infidelity_freq(p: Pulse, b: BathModel) -> float:
         r = dt / b.t_c
         edges = _peak_refined_edges(0.0, omega_nyq, 1.0 / b.t_c, n_base)
         nodes, weights = _gl_nodes(edges)
-        # Alias-folded Lorentzian: sum_m G(w + 2 pi m / dt), in the
-        # numerically stable form cosh r - cos(w dt) = 2 sinh^2(r/2) + 2 sin^2(w dt / 2).
+        # Alias-folded Lorentzian: sum_m G(w + 2 pi m / dt) = scale sinh r / (cosh r - cos(w dt)),
+        # with numerator and denominator times 2 rho, rho = e^-r, so that no term overflows.
         scale = b.corr_norm * b.gamma * dt / (2.0 * np.pi * b.t_c)
-        denom = 2.0 * np.sinh(min(r, 350.0) / 2.0) ** 2 + 2.0 * np.sin(nodes * dt / 2.0) ** 2
-        if r > 350.0:
-            gvals = np.full(nodes.size, scale)
-        else:
-            gvals = scale * np.sinh(r) / denom
+        denom = np.expm1(-r) ** 2 + 4.0 * np.exp(-r) * np.sin(nodes * dt / 2.0) ** 2
+        gvals = scale * -np.expm1(-2.0 * r) / denom
 
     t1, t2 = _finite_transforms(p.phases, dt, nodes)
     fvals = X1_WEIGHT * np.abs(t1) ** 2 + X2_WEIGHT * np.abs(t2) ** 2

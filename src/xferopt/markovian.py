@@ -4,19 +4,20 @@ At long allowed times the variational optimality condition for the
 memoryless infidelity reduces to a first-order profile equation in a
 dimensionless time ``x``:
 
-    dphi_M/dx = f(phi_M) = sqrt( sin^2(2 phi_M) / 2 + (2/3) cos^4(phi_M) ),   phi_M(0) = 0.
+    dphi_M/dx = f(phi_M) = cos(phi_M) sqrt(2/3 + (4/3) sin^2(phi_M)),   phi_M(0) = 0,
 
-The equation is autonomous, so ``x(phi) = integral_0^phi dpsi / f(psi)``: a
-quadrature in ``u = ln((pi/2) / eps)``, ``eps = pi/2 - phi``, whose integrand
-``eps / f`` (``f`` written in ``eps``) is smooth and tends to ``1 / sqrt(2)``.
-One uniform ``u`` grid, summed by a 4-node Gauss-Legendre rule per interval,
-reaches ``eps = 1e-10``; cubic Hermite interpolation fills in between nodes.
+where ``f^2 = sin^2(2 phi) / 2 + (2/3) cos^4(phi)``.  The equation is
+autonomous, and the substitution ``s = sin phi`` integrates it in closed form:
 
-The profile energy ``e_M = integral |phi_M'(x)|^2 dx`` is evaluated in the
-phase variable, ``e_M = integral_0^{pi/2} phi_M'(phi) dphi``, which is a
-proper finite integral (the time-domain integral runs to infinity).  The
-optimal pulse for budget ``E`` is the time-rescaled profile
-``phi(t) = phi_M((E / e_M) t)`` with infidelity ``gamma e_M^2 / E``.
+    x(phi) = integral_0^{sin phi} ds / ((1 - s^2) sqrt(2/3 + 4 s^2 / 3))
+           = asinh(sqrt(3) tan phi) / sqrt(2),
+
+so ``phi_M(x) = arctan(sinh(sqrt(2) x) / sqrt(3))``.  The profile energy
+``e_M = integral |phi_M'(x)|^2 dx = integral_0^{pi/2} f(phi) dphi`` becomes
+``integral_0^1 sqrt(2/3 + 4 s^2 / 3) ds = (sqrt(2) + asinh(sqrt(2)) / sqrt(3)) / 2``
+in the same variable.  The optimal pulse for budget ``E`` is the
+time-rescaled profile ``phi(t) = phi_M((E / e_M) t)`` with infidelity
+``gamma e_M^2 / E``.
 """
 
 from __future__ import annotations
@@ -26,15 +27,17 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .pulse import HALF_PI, EnergyBudget, Pulse, _as_budget
 
-# The quadrature grid: uniform in u from eps = pi/2 down to eps = 1e-10.
+_SQRT2 = math.sqrt(2.0)
+_SQRT3 = math.sqrt(3.0)
+# Past sqrt(2) x = 40 the profile phase rounds to pi/2; the cap keeps sinh finite.
+_SINH_ARG_CAP = 40.0
+# The tabulated profile: uniform in u = ln((pi/2) / eps) from eps = pi/2 down to eps = 1e-10.
 _EPS_END = 1e-10
 _N_INTERVALS = 4000
 _DU = math.log(HALF_PI / _EPS_END) / _N_INTERVALS
-_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(4)
 # The rescaled pulses end where pi/2 - phi_M has decayed to this.
 _CUT_EPS = 1e-8
 
@@ -51,22 +54,17 @@ def _slope_eps(eps):
     return np.sqrt(0.5 * np.sin(2.0 * eps) ** 2 + (2.0 / 3.0) * np.sin(eps) ** 4)
 
 
-def _x_increment(u0, u1):
-    """Increase of ``x`` from ``u0`` to ``u1``, elementwise, by the Gauss-Legendre rule.
+def _time_to(eps):
+    """Dimensionless time at which ``pi/2 - phi_M`` has fallen to ``eps``.
 
-    One node per pass keeps the temporaries the size of ``u0``.
+    Written in ``eps`` because ``tan`` of a rounded ``pi/2 - eps`` loses digits.
     """
-    half = 0.5 * (u1 - u0)
-    total = 0.0
-    for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
-        eps = HALF_PI * np.exp(-(u0 + half * (node + 1.0)))
-        total = total + weight * (eps / _slope_eps(eps))
-    return half * total
+    return np.arcsinh(_SQRT3 / np.tan(eps)) / _SQRT2
 
 
 @dataclass(frozen=True)
 class MarkovianProfile:
-    """Universal profile ``phi_M(x)`` on its quadrature grid, with its dimensionless energy."""
+    """Universal profile ``phi_M(x)`` tabulated on a grid, with its dimensionless energy."""
 
     x_grid: np.ndarray
     phi: np.ndarray
@@ -74,44 +72,32 @@ class MarkovianProfile:
     e_m: float
 
     def phase_at(self, x):
-        """Profile phase at ``x >= 0``: the cubic Hermite interpolant of the node
-        phases and slopes, and past the last node (``pi/2 - phi_M < 1e-10``) its phase."""
+        """Profile phase ``arctan(sinh(sqrt(2) x) / sqrt(3))`` at ``x >= 0``."""
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise ValueError("x must be nonnegative")
-        xg = self.x_grid
-        k = np.searchsorted(xg[1:-1], x, side="right")
-        h = xg[k + 1] - xg[k]
-        t = np.minimum((x - xg[k]) / h, 1.0)
-        p0 = self.phi[k]
-        dp = self.phi[k + 1] - p0
-        m0, m1 = h * self.dphi[k], h * self.dphi[k + 1]
-        out = p0 + t * (m0 + t * ((3.0 * dp - 2.0 * m0 - m1) + t * (m0 + m1 - 2.0 * dp)))
+        if not np.all(x >= 0.0):
+            raise ValueError("x must be nonnegative and not NaN")
+        out = np.arctan(np.sinh(np.minimum(_SQRT2 * x, _SINH_ARG_CAP)) / _SQRT3)
         return float(out) if out.ndim == 0 else out
 
     def x_end(self, eps: float = _CUT_EPS) -> float:
-        """Dimensionless time at which ``pi/2 - phi_M`` has decayed to ``eps`` (``1e-10 <= eps <= pi/2``)."""
-        if not _EPS_END <= eps <= HALF_PI:
-            raise ValueError(f"eps must lie in [{_EPS_END:g}, pi/2], got {eps}")
-        u = math.log(HALF_PI / eps)
-        k = min(int(u / _DU), _N_INTERVALS - 1)
-        return float(self.x_grid[k] + _x_increment(k * _DU, u))
+        """Dimensionless time at which ``pi/2 - phi_M`` has decayed to ``eps`` (``0 < eps <= pi/2``).
+
+        Below ``eps`` of about 1e-308 the time overflows to ``inf``.
+        """
+        if not 0.0 < eps <= HALF_PI:
+            raise ValueError(f"eps must lie in (0, pi/2], got {eps}")
+        return float(_time_to(eps))
 
 
 @cache
 def solve_markovian_profile() -> MarkovianProfile:
-    """The profile by quadrature, down to ``pi/2 - phi = 1e-10``, and its energy constant."""
-    u = np.arange(_N_INTERVALS + 1) * _DU
-    eps = HALF_PI * np.exp(-u)
-    x_grid = np.concatenate(([0.0], np.cumsum(_x_increment(u[:-1], u[1:]))))
+    """The profile tabulated down to ``pi/2 - phi = 1e-10``, and its energy constant."""
+    eps = HALF_PI * np.exp(-np.arange(_N_INTERVALS + 1) * _DU)
+    x_grid = _time_to(eps)
+    x_grid[0] = 0.0  # tan of the rounded pi/2 is finite, about 1.6e16
     phi = HALF_PI - eps
     dphi = _slope_eps(eps)
-
-    xg, wg = leggauss(256)
-    nodes = 0.5 * HALF_PI * (xg + 1.0)
-    e_m = float(0.5 * HALF_PI * np.sum(wg * profile_slope(nodes)))
-    if not (1.0 <= e_m <= 1.1):
-        raise RuntimeError(f"profile energy {e_m} outside the expected range [1.0, 1.1]")
+    e_m = 0.5 * (_SQRT2 + math.asinh(_SQRT2) / _SQRT3)
 
     for arr in (x_grid, phi, dphi):
         arr.setflags(write=False)

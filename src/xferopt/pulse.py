@@ -186,14 +186,14 @@ def read_pulse_csv(path) -> Pulse:
     """Parse a ``t,phi,V`` CSV back into a :class:`Pulse`.
 
     Raises :class:`PulseCsvError` with a 1-based line number for a bad
-    header, too few rows, unparseable fields, non-monotone or non-uniform
-    times, or a ``V`` column inconsistent with the phase differences.
+    header, too few rows, unparseable or non-finite fields, non-monotone or
+    non-uniform times, or a ``V`` column inconsistent with the phase differences.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0].strip() != "t,phi,V":
         raise PulseCsvError("line 1: expected header 't,phi,V'")
-    rows = []
+    rows, linenos = [], []
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
@@ -204,26 +204,30 @@ def read_pulse_csv(path) -> Pulse:
             rows.append(tuple(float(x) for x in parts))
         except ValueError:
             raise PulseCsvError(f"line {lineno}: could not parse floats from {ln!r}") from None
+        linenos.append(lineno)
     if len(rows) < 3:
         raise PulseCsvError(f"line {len(lines)}: need at least 3 data rows, got {len(rows)}")
     data = np.asarray(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise PulseCsvError(f"line {linenos[int(np.argmin(finite))]}: non-finite field")
     t, phi, v = data[:, 0], data[:, 1], data[:, 2]
     if t[0] != 0.0:
-        raise PulseCsvError("line 2: time must start at 0")
+        raise PulseCsvError(f"line {linenos[0]}: time must start at 0")
     dt = np.diff(t)
     if np.any(dt <= 0.0):
         bad = int(np.argmax(dt <= 0.0))
-        raise PulseCsvError(f"line {bad + 3}: time not strictly increasing")
+        raise PulseCsvError(f"line {linenos[bad + 1]}: time not strictly increasing")
     if np.max(np.abs(dt - dt[0])) > 1e-9 * t[-1]:
         bad = int(np.argmax(np.abs(dt - dt[0]) > 1e-9 * t[-1]))
-        raise PulseCsvError(f"line {bad + 3}: non-uniform time grid")
+        raise PulseCsvError(f"line {linenos[bad + 1]}: non-uniform time grid")
     if phi[0] != 0.0:
-        raise PulseCsvError("line 2: first phase must be exactly 0")
+        raise PulseCsvError(f"line {linenos[0]}: first phase must be exactly 0")
     pulse = Pulse(t_f=float(t[-1]), phases=phi)
     expect = _node_amplitudes(pulse)
     atol = 1e-8 * max(1.0, float(np.max(np.abs(expect))))
     mism = np.abs(v - expect) > atol
     if np.any(mism):
         bad = int(np.argmax(mism))
-        raise PulseCsvError(f"line {bad + 2}: V column inconsistent with phase differences")
+        raise PulseCsvError(f"line {linenos[bad]}: V column inconsistent with phase differences")
     return pulse

@@ -78,6 +78,15 @@ class TestEvaluate:
         assert code == 2
         assert "line 3" in err
 
+    def test_non_finite_pulse_csv(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,phi,V\n0,0,1.5707963267948966\n"
+                       "nan,0.7853981633974483,1.5707963267948966\n1,1.5707963267948966,nan\n")
+        code, out, err = run(capsys, ["evaluate", "--pulse", str(bad), "--gamma", "0.1"])
+        assert code == 2
+        assert out == ""
+        assert "line 3: non-finite" in err
+
 
 class TestOptimize:
     def test_writes_pulse_and_exits_zero(self, capsys, tmp_path):

@@ -90,6 +90,14 @@ class TestTimeFreqAgreement:
         assert xo.infidelity_freq(p, b) == pytest.approx(time_path, rel=1e-9, abs=0.0)
         assert time_path == pytest.approx(2.0 * corr_norm * xo.infidelity_markovian(p, 0.04), rel=1e-15)
 
+    @pytest.mark.parametrize("dt_over_tc", [349.0, 351.0, 1000.0])
+    def test_folded_spectrum_at_short_memory(self, dt_over_tc):
+        # The folded Lorentzian is flat to e^-r here; its form holds across r = 350.
+        p = random_pulse(np.random.default_rng(7), 300, 4.0)
+        b = xo.BathModel(gamma=0.05, t_c=p.dt / dt_over_tc)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert xo.infidelity_freq(p, b) == pytest.approx(xo.bath_infidelity(p, b), rel=1e-9, abs=0.0)
+
     def test_zero_gamma(self, budget):
         p = xo.fastest_pulse(budget, 64)
         assert xo.infidelity_freq(p, xo.BathModel(gamma=0.0, t_c=1.0)) == 0.0

@@ -60,6 +60,42 @@ class TestProfile:
     def test_phase_at_end_time(self, profile, eps):
         assert profile.phase_at(profile.x_end(eps)) == pytest.approx(np.pi / 2 - eps, abs=1e-12)
 
+    def test_closed_form_satisfies_equation(self, profile):
+        # d/dx arctan(sinh(y) / sqrt(3)) with y = sqrt(2) x.
+        x = np.linspace(0.0, 20.0, 4001)
+        y = np.sqrt(2.0) * x
+        dphi_dx = np.sqrt(6.0) * np.cosh(y) / (3.0 + np.sinh(y) ** 2)
+        resid = dphi_dx - profile_slope(profile.phase_at(x))
+        assert np.max(np.abs(resid)) <= 1e-14
+
+    def test_energy_matches_quadrature(self, profile):
+        e_ref = quad(profile_slope, 0.0, np.pi / 2, epsabs=0.0, epsrel=1e-13)[0]
+        assert profile.e_m == pytest.approx(e_ref, rel=1e-14)
+
+    def test_phase_saturates_without_overflow(self, profile):
+        with np.errstate(all="raise"):
+            assert profile.phase_at(1e6) == np.pi / 2
+            assert np.all(profile.phase_at(np.array([30.0, 502.0, 1e300])) == np.pi / 2)
+
+    @pytest.mark.parametrize("x", [-1e-12, -1.0, np.nan])
+    def test_phase_at_rejects_bad_x(self, profile, x):
+        with pytest.raises(ValueError, match="x must be"):
+            profile.phase_at(x)
+        with pytest.raises(ValueError, match="x must be"):
+            profile.phase_at(np.array([0.0, x]))
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.pi / 2 + 1e-12, np.nan, np.inf])
+    def test_x_end_rejects_bad_eps(self, profile, eps):
+        with pytest.raises(ValueError, match="eps must lie"):
+            profile.x_end(eps)
+
+    def test_x_end_domain_edges(self, profile):
+        assert 0.0 <= profile.x_end(np.pi / 2) <= 1e-16
+        # Below the table's last node the time keeps growing like -ln(eps) / sqrt(2).
+        assert profile.x_end(1e-200) - profile.x_end(1e-100) == pytest.approx(
+            100.0 * np.log(10.0) / np.sqrt(2.0), rel=1e-12
+        )
+
 
 class TestOptimalPulse:
     def test_energy_within_tenth_percent(self, budget):

@@ -184,6 +184,22 @@ class TestPulseCsv:
         with pytest.raises(xo.PulseCsvError, match="line 3"):
             xo.read_pulse_csv(path)
 
+    @pytest.mark.parametrize("row", ["nan,0.7853981633974483,1.5707963267948966",
+                                     "0.5,inf,1.5707963267948966",
+                                     "0.5,0.7853981633974483,-inf"],
+                             ids=["t", "phi", "V"])
+    def test_non_finite_field_reports_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,phi,V\n0,0,1.5707963267948966\n{row}\n1,1.5707963267948966,1.5707963267948966\n")
+        with pytest.raises(xo.PulseCsvError, match="line 3: non-finite"):
+            xo.read_pulse_csv(path)
+
+    def test_blank_lines_do_not_shift_line_numbers(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,phi,V\n0,0,1\n\n0.5,0.5,1\n0.4,1,1\n1,1.5,1\n")
+        with pytest.raises(xo.PulseCsvError, match="line 5: time not strictly increasing"):
+            xo.read_pulse_csv(path)
+
     def test_non_monotone_time(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,phi,V\n0,0,1\n0.5,0.5,1\n0.4,1,1\n1,1.5,1\n")
