@@ -1,9 +1,10 @@
 """Command-line front end: evaluate, optimize, sweep, markovian, leakage, oracle.
 
-Configuration comes from an optional JSON file with flat dotted keys
-(``bath.gamma``, ``control.energy``, ``optimizer.leak_weight``, ...);
-command-line flags override file values.  All outputs are plain CSV or
-fixed-format text, so reruns with the same inputs are byte-identical.
+Every parameter is a flag with one default and one type.  An argument
+``@file`` stands for the lines of ``file``, one argument per line
+(``--gamma=0.02``); where a flag is given twice the last value wins, so flags
+after ``@file`` override it.  All outputs are plain CSV or fixed-format
+text, so reruns with the same inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,83 +23,38 @@ from .fidelity import bath_infidelity, infidelity_freq
 from .leakage import perturbative_leakage_amplitude, propagate_even
 from .markovian import solve_markovian_profile
 from .montecarlo import OracleConfig, simulate_transfer
-from .optimizer import OptimizationProblem, optimize_rwa, optimize_with_leakage, sweep_final_time
+from .optimizer import DEFAULT_STARTS, OptimizationProblem, optimize_rwa, optimize_with_leakage, sweep_final_time
 from .pulse import EnergyBudget, PulseCsvError, pulse_energy, read_pulse_csv, write_pulse_csv
 
-_CONFIG_KEYS = {
-    "bath.gamma": "number", "bath.t_c": "number", "bath.corr_norm": "number",
-    "control.energy": "number", "control.t_f": "number", "control.grid_n": "integer", "system.omega0": "number",
-    "optimizer.leak_weight": "number", "optimizer.starts": "string or list", "out.dir": "string",
-    "oracle.n_traj": "integer", "oracle.seed": "integer", "oracle.dt": "number", "oracle.rwa": "boolean",
-}
-_JSON_TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str, "string or list": (str, list)}
+
+def _bath_from(args) -> BathModel:
+    return BathModel(gamma=args.gamma, t_c=args.t_c, corr_norm=args.corr_norm)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object with flat dotted keys")
-    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    for key in sorted(cfg):
-        kind, value = _CONFIG_KEYS[key], cfg[key]
-        # JSON true and false load as bools, which are ints to isinstance.
-        if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "boolean"):
-            raise ValueError(f"config key {key} must be a JSON {kind}, got {json.dumps(value)}")
-    return cfg
-
-
-def _pick(args_value, cfg: dict, key: str, default=None):
-    if args_value is not None:
-        return args_value
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _require(value, what: str):
-    if value is None:
-        raise ValueError(f"missing required parameter: {what}")
-    return value
-
-
-def _bath_from(args, cfg) -> BathModel:
-    gamma = float(_require(_pick(args.gamma, cfg, "bath.gamma"), "bath.gamma / --gamma"))
-    t_c = float(_pick(args.t_c, cfg, "bath.t_c", 0.0))
-    corr_norm = float(_pick(getattr(args, "corr_norm", None), cfg, "bath.corr_norm", DEFAULT_CORR_NORM))
-    return BathModel(gamma=gamma, t_c=t_c, corr_norm=corr_norm)
-
-
-def _omega0_from(args, cfg) -> float:
-    omega0 = float(_pick(args.omega0, cfg, "system.omega0", 0.0))
-    if not 0.0 <= omega0 < np.inf:
-        raise ValueError(f"system.omega0 / --omega0 must be finite and nonnegative, got {omega0}")
-    return omega0
+def _omega0_from(args) -> float:
+    if not 0.0 <= args.omega0 < np.inf:
+        raise ValueError(f"--omega0 must be finite and nonnegative, got {args.omega0}")
+    return args.omega0
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _add_bath_flags(sp):
-    sp.add_argument("--gamma", type=float, default=None, help="dephasing rate")
-    sp.add_argument("--t-c", dest="t_c", type=float, default=None, help="bath memory time (0 = memoryless)")
-    sp.add_argument("--corr-norm", dest="corr_norm", type=float, default=None,
+def _add_model_flags(sp):
+    sp.add_argument("--gamma", type=float, required=True, help="dephasing rate")
+    sp.add_argument("--t-c", dest="t_c", type=float, default=0.0, help="bath memory time (0 = memoryless)")
+    sp.add_argument("--corr-norm", dest="corr_norm", type=float, default=DEFAULT_CORR_NORM,
                     help="correlation kernel normalisation (default 0.5)")
+    sp.add_argument("--omega0", type=float, default=0.0, help="qubit splitting (0 disables leakage)")
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load_config(args.config)
     pulse = read_pulse_csv(args.pulse)
-    bath = _bath_from(args, cfg)
-    omega0 = _omega0_from(args, cfg)
-    energy = _pick(args.energy, cfg, "control.energy")
+    bath = _bath_from(args)
+    omega0 = _omega0_from(args)
     used = pulse_energy(pulse)
-    budget = EnergyBudget(float(energy)) if energy is not None else EnergyBudget(used)
+    budget = EnergyBudget(args.energy if args.energy is not None else used)
 
     inf_time = bath_infidelity(pulse, bath)
     inf_freq = infidelity_freq(pulse, bath)
@@ -124,32 +80,24 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _budget_from(args, cfg) -> EnergyBudget:
-    return EnergyBudget(float(_require(_pick(args.energy, cfg, "control.energy"), "control.energy / --energy")))
-
-
-def _problem_opts(args, cfg) -> dict:
+def _problem_opts(args) -> dict:
     """The :class:`OptimizationProblem` fields that optimize and sweep share."""
-    opts = {
-        "grid_n": _pick(args.grid_n, cfg, "control.grid_n", 512),
-        "omega0": _omega0_from(args, cfg),
-        "leak_weight": float(_pick(args.leak_weight, cfg, "optimizer.leak_weight", 0.5)),
-    }
-    starts = _pick(args.starts, cfg, "optimizer.starts")
-    if isinstance(starts, str):
-        starts = [s.strip() for s in starts.split(",") if s.strip()]
-    if starts:
-        opts["starts"] = tuple(starts)
-    return opts
+    return {"grid_n": args.grid_n, "omega0": _omega0_from(args), "leak_weight": args.leak_weight,
+            "starts": args.starts}
+
+
+def _names(text: str) -> tuple:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 def _add_problem_flags(sp):
-    sp.add_argument("--energy", type=float, default=None, help="control energy budget E")
-    sp.add_argument("--omega0", type=float, default=None, help="qubit splitting (0 disables leakage)")
-    sp.add_argument("--leak-weight", dest="leak_weight", type=float, default=None,
+    _add_model_flags(sp)
+    sp.add_argument("--energy", type=float, required=True, help="control energy budget E")
+    sp.add_argument("--leak-weight", dest="leak_weight", type=float, default=0.5,
                     help="leakage penalty weight (default 0.5)")
-    sp.add_argument("--grid-n", dest="grid_n", type=int, default=None, help="pulse grid segments (default 512)")
-    sp.add_argument("--starts", type=str, default=None, help="comma list of start templates")
+    sp.add_argument("--grid-n", dest="grid_n", type=int, default=512, help="pulse grid segments (default 512)")
+    sp.add_argument("--starts", type=_names, default=DEFAULT_STARTS,
+                    help=f"comma list of start templates (default {','.join(DEFAULT_STARTS)})")
 
 
 def _check_writable(path: str) -> None:
@@ -159,10 +107,8 @@ def _check_writable(path: str) -> None:
 
 
 def cmd_optimize(args) -> int:
-    cfg = _load_config(args.config)
-    t_f = float(_require(_pick(args.t_f, cfg, "control.t_f"), "control.t_f / --t-f"))
-    prob = OptimizationProblem(bath=_bath_from(args, cfg), budget=_budget_from(args, cfg), t_f=t_f,
-                               **_problem_opts(args, cfg))
+    prob = OptimizationProblem(bath=_bath_from(args), budget=EnergyBudget(args.energy), t_f=args.t_f,
+                               **_problem_opts(args))
     _check_writable(args.out)
     res = optimize_with_leakage(prob) if prob.omega0 > 0.0 else optimize_rwa(prob)
     write_pulse_csv(res.pulse, args.out)
@@ -180,24 +126,22 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    bath = _bath_from(args, cfg)
-    budget = _budget_from(args, cfg)
-    opts = _problem_opts(args, cfg)
+    bath = _bath_from(args)
+    budget = EnergyBudget(args.energy)
+    opts = _problem_opts(args)
     t_f_list = [float(x) for x in args.t_f_list.split(",") if x.strip()]
     if not t_f_list:
         raise ValueError("--t-f-list must name at least one final time")
-    out_dir = _pick(args.out_dir, cfg, "out.dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     records = sweep_final_time(bath, budget, t_f_list, opts)
     rows = []
     for i, rec in enumerate(records):
         pulse_file = ""
         if rec.pulse is not None:
-            pulse_file = os.path.join(out_dir, f"pulse_{i:03d}.csv")
+            pulse_file = os.path.join(args.out_dir, f"pulse_{i:03d}.csv")
             write_pulse_csv(rec.pulse, pulse_file)
         rows.append(replace(rec, pulse_file=pulse_file))
-    sweep_path = os.path.join(out_dir, "sweep.csv")
+    sweep_path = os.path.join(args.out_dir, "sweep.csv")
     with open(sweep_path, "w", encoding="utf-8") as fh:
         fh.write("tf_over_tmin,tc_over_tmin,infidelity,energy,max_phi,converged,pulse_file\n")
         for rec in rows:
@@ -253,16 +197,10 @@ def cmd_leakage(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = _load_config(args.config)
     pulse = read_pulse_csv(args.pulse)
-    bath = _bath_from(args, cfg)
-    omega0 = _omega0_from(args, cfg)
-    ocfg = OracleConfig(
-        n_traj=_pick(args.n_traj, cfg, "oracle.n_traj", 10000),
-        seed=_pick(args.seed, cfg, "oracle.seed", 0),
-        dt=_pick(args.dt, cfg, "oracle.dt"),
-        rwa=_pick(args.rwa, cfg, "oracle.rwa", True),
-    )
+    bath = _bath_from(args)
+    omega0 = _omega0_from(args)
+    ocfg = OracleConfig(n_traj=args.n_traj, seed=args.seed, dt=args.dt, rwa=args.rwa)
     est = simulate_transfer(pulse, bath, omega0, ocfg)
     predicted = bath_infidelity(pulse, bath)
     print(f"mean_fidelity = {_fmt(est.mean)}")
@@ -277,7 +215,7 @@ def cmd_oracle(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="xferopt",
+    parser = argparse.ArgumentParser(prog="xferopt", fromfile_prefix_chars="@",
                                      description="Pulse design and verification for noisy-to-quiet state transfer")
     sub = parser.add_subparsers(dest="command", required=True)
     # No flag abbreviations: sweep would read --t-f as --t-f-list and --out as --out-dir.
@@ -285,27 +223,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("evaluate", help="report infidelity and leakage of a pulse file")
     sp.add_argument("--pulse", required=True)
-    sp.add_argument("--config", default=None)
-    _add_bath_flags(sp)
+    _add_model_flags(sp)
     sp.add_argument("--energy", type=float, default=None, help="energy budget for t_min reporting")
-    sp.add_argument("--omega0", type=float, default=None)
     sp.add_argument("--json", action="store_true", help="emit a JSON report")
     sp.set_defaults(func=cmd_evaluate)
 
     sp = add_parser("optimize", help="optimise a pulse under the energy constraint")
-    sp.add_argument("--config", default=None)
-    _add_bath_flags(sp)
     _add_problem_flags(sp)
-    sp.add_argument("--t-f", dest="t_f", type=float, default=None, help="final time")
+    sp.add_argument("--t-f", dest="t_f", type=float, required=True, help="final time")
     sp.add_argument("--out", required=True, help="output pulse CSV")
     sp.set_defaults(func=cmd_optimize)
 
     sp = add_parser("sweep", help="optimise over a list of final times")
-    sp.add_argument("--config", default=None)
-    _add_bath_flags(sp)
     _add_problem_flags(sp)
     sp.add_argument("--t-f-list", dest="t_f_list", required=True, help="comma list of final times")
-    sp.add_argument("--out-dir", dest="out_dir", default=None)
+    sp.add_argument("--out-dir", dest="out_dir", default=".")
     sp.set_defaults(func=cmd_sweep)
 
     sp = add_parser("markovian", help="solve the memoryless optimal profile")
@@ -320,12 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("oracle", help="Monte-Carlo check of the predicted infidelity")
     sp.add_argument("--pulse", required=True)
-    sp.add_argument("--config", default=None)
-    _add_bath_flags(sp)
-    sp.add_argument("--omega0", type=float, default=None)
-    sp.add_argument("--rwa", action=argparse.BooleanOptionalAction, default=None)
-    sp.add_argument("--n-traj", dest="n_traj", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    _add_model_flags(sp)
+    sp.add_argument("--rwa", action=argparse.BooleanOptionalAction, default=True)
+    sp.add_argument("--n-traj", dest="n_traj", type=int, default=10000)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--dt", type=float, default=None)
     sp.set_defaults(func=cmd_oracle)
 

@@ -230,6 +230,11 @@ def _finite_transforms(phases: np.ndarray, dt: float, omegas: np.ndarray):
     return out[0], out[1]
 
 
+def _spectrum(phases: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
+    t1, t2 = _finite_transforms(phases, dt, omegas)
+    return X1_WEIGHT * np.abs(t1) ** 2 + X2_WEIGHT * np.abs(t2) ** 2
+
+
 def modulation_spectrum(p: Pulse, omega):
     """Modulation spectrum ``F(t_f, omega)`` of the pulse.
 
@@ -237,9 +242,7 @@ def modulation_spectrum(p: Pulse, omega):
     transforms taken by trapezoid quadrature on the pulse grid.  Accepts a
     scalar or an array of frequencies.
     """
-    omegas = np.atleast_1d(np.asarray(omega, dtype=float))
-    t1, t2 = _finite_transforms(p.phases, p.dt, omegas)
-    f = X1_WEIGHT * np.abs(t1) ** 2 + X2_WEIGHT * np.abs(t2) ** 2
+    f = _spectrum(p.phases, p.dt, np.atleast_1d(np.asarray(omega, dtype=float)))
     return float(f[0]) if np.isscalar(omega) or np.asarray(omega).ndim == 0 else f
 
 
@@ -309,9 +312,7 @@ def infidelity_freq(p: Pulse, b: BathModel) -> float:
         denom = np.expm1(-r) ** 2 + 4.0 * np.exp(-r) * np.sin(nodes * dt / 2.0) ** 2
         gvals = scale * -np.expm1(-2.0 * r) / denom
 
-    t1, t2 = _finite_transforms(p.phases, dt, nodes)
-    fvals = X1_WEIGHT * np.abs(t1) ** 2 + X2_WEIGHT * np.abs(t2) ** 2
-    return 2.0 * float(np.sum(weights * gvals * fvals)) + ends
+    return 2.0 * float(np.sum(weights * gvals * _spectrum(p.phases, dt, nodes))) + ends
 
 
 def bath_infidelity(p: Pulse, b: BathModel) -> float:

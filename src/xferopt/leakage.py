@@ -232,8 +232,8 @@ def corrector_energy_estimate(psi_ee: float, available_time: float) -> float:
     """
     if not (0.0 <= psi_ee < 1.0):
         raise ValueError(f"psi_ee must lie in [0, 1), got {psi_ee}")
-    if available_time <= 0.0:
-        raise ValueError("available_time must be positive")
+    if not 0.0 < available_time < np.inf:
+        raise ValueError(f"available_time must be positive and finite, got {available_time}")
     return DEFAULT_CORRECTOR_KAPPA * psi_ee ** 2 / available_time
 
 
@@ -259,9 +259,10 @@ def minimal_corrector_energy(omega0: float, psi_ee: float, available_time: float
     residual population.
     """
     if not (0.0 < psi_ee < 1.0):
-        raise ValueError("psi_ee must lie in (0, 1)")
-    if available_time <= 0.0 or omega0 <= 0.0:
-        raise ValueError("available_time and omega0 must be positive")
+        raise ValueError(f"psi_ee must lie in (0, 1), got {psi_ee}")
+    for name, value in (("omega0", omega0), ("available_time", available_time)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     period = np.pi / omega0
     n = max(64, int(np.ceil(available_time / period)) * 64)  # 64 segments per drive period
     t = np.linspace(0.0, available_time, n + 1)

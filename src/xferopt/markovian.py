@@ -134,7 +134,7 @@ def optimal_markovian_pulse(budget, n: int = 512) -> Pulse:
 
 def markovian_optimum_infidelity(gamma: float, energy: float) -> float:
     """Closed-form optimal memoryless infidelity ``gamma * e_M^2 / E``."""
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     budget = _as_budget(energy)
     return gamma * solve_markovian_profile().e_m ** 2 / budget.energy

@@ -50,8 +50,10 @@ from .leakage import segment_rotation
 from .pulse import Pulse
 
 NORM_TOL = 1e-8
-# Largest noise block one chunk may hold (steps x trajectories x 8 bytes);
-# the default chunk at 512 steps needs 16 MiB.
+# Trajectories per chunk, fewer where the chunk's noise block (steps x
+# trajectories x 8 bytes) would exceed _NOISE_BLOCK_BYTES; a full chunk at
+# 512 steps needs 16 MiB.
+_CHUNK_TRAJ = 4096
 _NOISE_BLOCK_BYTES = 1 << 28
 # Steps advanced per segment_rotation call.
 _BLOCK_STEPS = 8
@@ -70,17 +72,15 @@ class OracleConfig:
     seed: int = 0
     dt: float | None = None
     rwa: bool = True
-    chunk_size: int = 4096
 
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValueError("n_traj must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        # Philox keys take the seed as one 64-bit word.
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.dt is not None and not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -205,18 +205,18 @@ def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) 
         raise ValueError(f"omega0 must be nonnegative, got {omega0}")
     per_segment, dt = _resolve_steps(p, b, omega0, cfg)
     m = p.n_segments * per_segment
-    chunk = min(cfg.chunk_size, cfg.n_traj)
-    if m * chunk * 8 > _NOISE_BLOCK_BYTES:
+    chunk = min(_CHUNK_TRAJ, cfg.n_traj, _NOISE_BLOCK_BYTES // (8 * m))
+    if chunk < 1:
         raise ValueError(
-            f"oracle step grid too fine: {m} steps x {chunk} trajectories per chunk exceed the "
-            f"{_NOISE_BLOCK_BYTES // (1 << 20)} MiB noise-block limit; use a larger dt or a smaller chunk_size")
+            f"oracle step grid too fine: the noise of one trajectory's {m} steps exceeds the "
+            f"{_NOISE_BLOCK_BYTES // (1 << 20)} MiB noise-block limit; use a larger dt")
     v_steps = np.repeat(p.amplitudes(), per_segment)
 
     noise_buffer = np.empty((m, chunk))
     fsum = 0.0
     fsq = 0.0
-    for i0 in range(0, cfg.n_traj, cfg.chunk_size):
-        count = min(cfg.chunk_size, cfg.n_traj - i0)
+    for i0 in range(0, cfg.n_traj, chunk):
+        count = min(chunk, cfg.n_traj - i0)
         f = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, i0, count, noise_buffer[:, :count])
         fsum += float(np.sum(f))
         fsq += float(np.sum(f * f))

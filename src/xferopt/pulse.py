@@ -93,8 +93,8 @@ class Pulse:
     def phase_at(self, t):
         """Linearly interpolated phase at time(s) ``t`` in ``[0, t_f]``."""
         t = np.asarray(t, dtype=float)
-        if np.any((t < 0.0) | (t > self.t_f)):
-            raise ValueError("t outside [0, t_f]")
+        if not np.all((0.0 <= t) & (t <= self.t_f)):
+            raise ValueError(f"t outside [0, {self.t_f}]")
         return np.interp(t, self.times, self.phases)
 
     def is_transfer_complete(self, tol: float = TRANSFER_PHASE_TOL) -> bool:
@@ -145,7 +145,7 @@ def control_amplitude(p: Pulse, t):
     last segment is returned.  Raises for ``t`` outside ``[0, t_f]``.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any((t_arr < 0.0) | (t_arr > p.t_f)):
+    if not np.all((0.0 <= t_arr) & (t_arr <= p.t_f)):
         raise ValueError(f"t outside [0, {p.t_f}]")
     idx = np.minimum((t_arr / p.dt).astype(int), p.n_segments - 1)
     out = p.amplitudes()[idx]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import xferopt as xo
+import xferopt.montecarlo
 import xferopt.optimizer
 from xferopt.cli import main
 from conftest import ENERGY, GAMMA, random_pulse
@@ -23,6 +24,12 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def write_args(path, lines):
+    """Write an argument file, one argument per line, and return its ``@`` argument."""
+    path.write_text("".join(line + "\n" for line in lines))
+    return "@" + str(path)
 
 
 class TestEvaluate:
@@ -128,43 +135,43 @@ class TestOptimize:
         assert code == 2
         assert "not writable" in err
 
-    def test_config_file_with_flag_override(self, capsys, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({
-            "bath.gamma": GAMMA, "bath.t_c": 0.0,
-            "control.energy": ENERGY, "control.t_f": 2.0, "control.grid_n": 64,
-        }))
-        out_a = tmp_path / "a.csv"
-        code, _, _ = run(capsys, ["optimize", "--config", str(cfg), "--out", str(out_a)])
-        assert code == 0
-        # flag overrides the file value
-        out_b = tmp_path / "b.csv"
-        code, _, _ = run(capsys, ["optimize", "--config", str(cfg), "--t-f", "3.0", "--out", str(out_b)])
-        assert code == 0
-        assert xo.read_pulse_csv(out_b).t_f == pytest.approx(3.0)
+    FLAGS = [f"--gamma={GAMMA}", "--t-c=0.0", f"--energy={ENERGY}", "--t-f=2.0", "--grid-n=64"]
 
-    def test_unknown_config_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"bath.gamm": 0.1}))
-        code, _, err = run(capsys, ["optimize", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "unknown config" in err
+    def test_args_file_gives_the_bytes_of_the_flags(self, capsys, tmp_path):
+        args_file = write_args(tmp_path / "run.args", self.FLAGS)
+        runs = []
+        for name, argv in (("a.csv", [args_file]), ("b.csv", self.FLAGS)):
+            code, out, _ = run(capsys, ["optimize", *argv, "--out", str(tmp_path / name)])
+            assert code == 0
+            runs.append((out.replace(name, ""), (tmp_path / name).read_bytes()))
+        assert runs[0] == runs[1]
 
-    def test_removed_max_outer_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"optimizer.max_outer": 30}))
-        code, _, err = run(capsys, ["optimize", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "unknown config keys: optimizer.max_outer" in err
+    def test_args_file_with_flag_override(self, capsys, tmp_path):
+        # argparse keeps the last value: a flag after the file overrides it,
+        # one before the file is overridden.
+        args_file = write_args(tmp_path / "run.args", self.FLAGS)
+        for argv, t_f in (([args_file, "--t-f", "3.0"], 3.0), (["--t-f", "3.0", args_file], 2.0)):
+            out_file = tmp_path / "p.csv"
+            code, _, _ = run(capsys, ["optimize", *argv, "--out", str(out_file)])
+            assert code == 0
+            assert xo.read_pulse_csv(out_file).t_f == pytest.approx(t_f)
 
-    @pytest.mark.parametrize("key", ["optimizer.energy_mode", "optimizer.max_inner"])
-    def test_removed_solver_keys_rejected(self, capsys, tmp_path, key):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({key: 1}))
-        for command in (["optimize", "--out", str(tmp_path / "x.csv")], ["sweep", "--t-f-list", "2"]):
-            code, _, err = run(capsys, [command[0], "--config", str(cfg), *command[1:]])
-            assert code == 2
-            assert f"unknown config keys: {key}" in err
+    @pytest.mark.parametrize("flag", ["--n-traj=64", "--max-outer=30", "--energy-mode=equal", "--max-inner=1"])
+    def test_unknown_flag_in_args_file_rejected(self, capsys, tmp_path, flag):
+        # Oracle flags, and the removed solver settings, are not optimize or sweep flags.
+        args_file = write_args(tmp_path / "run.args", [*self.FLAGS[:3], flag])
+        for command in (["optimize", "--t-f", "2", "--out", str(tmp_path / "x.csv")], ["sweep", "--t-f-list", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main([command[0], args_file, *command[1:]])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.args"]
+
+    def test_missing_args_file_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "@" + str(tmp_path / "missing.args"), "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "missing.args" in capsys.readouterr().err
 
     def test_energy_mode_flag_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -257,6 +264,7 @@ class TestMarkovianCmd:
     (["evaluate", "--omega0", "nan"], "omega0"),
     (["oracle", "--omega0", "nan"], "omega0"),
     (["oracle", "--dt", "nan"], "dt"),
+    (["oracle", "--seed", str(2 ** 64)], "seed"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_non_finite_input_rejected_before_any_work(capsys, tmp_path, fast_pulse_file, argv, name):
     out_dir = tmp_path / "out"
@@ -305,21 +313,28 @@ class TestOracleCmd:
         lines = dict(ln.split(" = ") for ln in out.splitlines())
         assert float(lines["mean_fidelity"]) == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("key, value, kind", [
-        ("oracle.rwa", "false", "boolean"),
-        ("oracle.n_traj", 1.5, "integer"),
-        ("oracle.seed", True, "integer"),
-        ("bath.gamma", "0.04", "number"),
-    ])
-    def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path, fast_pulse_file, key, value, kind):
-        # A JSON string "false" is truthy and 1.5 truncates to 1: both ran
-        # before values were checked against their key's type.
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"bath.gamma": 0.04, "bath.t_c": 0.0, "oracle.n_traj": 64, key: value}))
-        code, out, err = run(capsys, ["oracle", "--pulse", fast_pulse_file, "--config", str(cfg)])
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: config key {key} must be a JSON {kind}, got {json.dumps(value)}")
+    @pytest.mark.parametrize("line", ["--rwa=false", "--n-traj=1.5", "--seed=True", "--gamma=abc"])
+    def test_args_file_value_of_wrong_type_rejected(self, capsys, tmp_path, fast_pulse_file, line):
+        # A value read from a file goes through the flag's own type check.
+        args_file = write_args(tmp_path / "run.args", ["--gamma=0.04", "--n-traj=64", line])
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--pulse", fast_pulse_file, args_file])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert line.split("=")[0] in out.err
+
+    def test_long_pulse_at_short_memory_runs_in_smaller_chunks(self, capsys, tmp_path, monkeypatch):
+        # 512 segments over t_f = 12 at t_c = 0.01 take 24064 steps.  A limit
+        # admitting 2 trajectories' noise stands in for the 256 MiB one, which
+        # at that step count admits 1394 of the default 10000 trajectories.
+        path = tmp_path / "ramp.csv"
+        xo.write_pulse_csv(xo.make_pulse(np.linspace(0.0, np.pi / 2, 513), 12.0), path)
+        monkeypatch.setattr(xferopt.montecarlo, "_NOISE_BLOCK_BYTES", 8 * 24064 * 2)
+        code, out, _ = run(capsys, ["oracle", "--pulse", str(path), "--gamma", "0.04", "--t-c", "0.01",
+                                    "--n-traj", "3"])
+        assert code == 0
+        assert "n_traj = 3" in out
 
     def test_oversized_step_grid_rejected(self, capsys, fast_pulse_file):
         code, out, err = run(capsys, [
@@ -328,6 +343,19 @@ class TestOracleCmd:
         assert code == 2
         assert out == ""
         assert err.startswith("error: oracle step grid too fine:") and "256 MiB" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--pulse", "p.csv"],
+    ["optimize", "--energy", str(ENERGY), "--t-f", "2", "--out", "p.csv"],
+    ["sweep", "--energy", str(ENERGY), "--t-f-list", "2"],
+    ["oracle", "--pulse", "p.csv"],
+], ids=lambda v: v[0])
+def test_missing_gamma_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    assert "the following arguments are required: --gamma" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])

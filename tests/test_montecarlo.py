@@ -29,15 +29,16 @@ class TestIdealTransfer:
         assert est.mean == pytest.approx(1.0, abs=1e-10)
         assert est.stderr < 1e-12
 
-    def test_flat_stretch_unit_fidelity(self, budget):
+    def test_flat_stretch_unit_fidelity(self, budget, monkeypatch):
         # V = 0 on the hold and no noise: every step of the hold has
         # Omega = 0 in the odd sector.  Chunks of 3 leave a ragged last one.
+        monkeypatch.setattr(montecarlo, "_CHUNK_TRAJ", 3)
         t = np.linspace(0.0, 3.0, 97)
         phases = np.interp(t, [0.0, 1.0, 2.0, 3.0], [0.0, np.pi / 4, np.pi / 4, np.pi / 2])
         p = xo.make_pulse(phases, 3.0)
         assert np.any(p.amplitudes() == 0.0)
         b = xo.BathModel(gamma=0.0, t_c=1.0)
-        est = xo.simulate_transfer(p, b, 0.0, xo.OracleConfig(n_traj=8, seed=0, chunk_size=3))
+        est = xo.simulate_transfer(p, b, 0.0, xo.OracleConfig(n_traj=8, seed=0))
         assert est.mean == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_rotation_closed_form(self):
@@ -51,10 +52,11 @@ class TestIdealTransfer:
 
 
 class TestDeterminism:
-    def test_bitwise_reproducible(self, budget):
+    def test_bitwise_reproducible(self, budget, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_TRAJ", 256)
         p = xo.fastest_pulse(budget, 128)
         b = xo.BathModel(gamma=0.05, t_c=1.0)
-        cfg = xo.OracleConfig(n_traj=2000, seed=11, chunk_size=256)
+        cfg = xo.OracleConfig(n_traj=2000, seed=11)
         r1 = xo.simulate_transfer(p, b, 0.0, cfg)
         r2 = xo.simulate_transfer(p, b, 0.0, cfg)
         assert (r1.mean, r1.stderr) == (r2.mean, r2.stderr)
@@ -68,12 +70,32 @@ class TestValidation:
             xo.simulate_transfer(p, b, 0.0, xo.OracleConfig(n_traj=2, dt=0.05))
 
     def test_oversized_step_grid_rejected(self, budget):
-        # 256 segments x 64 steps x 4096 trajectories x 8 bytes = 512 MiB,
+        # 256 segments x 2^18 steps x 8 bytes = 512 MiB for one trajectory,
         # rejected before any allocation.
         p = xo.fastest_pulse(budget, 256)
         b = xo.BathModel(gamma=0.04, t_c=0.0)
-        with pytest.raises(ValueError, match=r"\d+ steps x 4096 trajectories per chunk exceed the 256 MiB"):
-            xo.simulate_transfer(p, b, 0.0, xo.OracleConfig(n_traj=100_000, dt=p.dt / 64))
+        with pytest.raises(ValueError, match=r"one trajectory's 67108864 steps exceeds the 256 MiB"):
+            xo.simulate_transfer(p, b, 0.0, xo.OracleConfig(n_traj=2, dt=p.dt / (1 << 18)))
+
+    @pytest.mark.parametrize("t_c, omega0, rwa", [(1.0, 0.0, True), (0.0, 1.6, False)])
+    def test_chunk_shrinks_to_the_noise_block_limit(self, budget, monkeypatch, t_c, omega0, rwa):
+        # A limit that admits 3 trajectories' noise gives chunks of 3, 3 and 2,
+        # and the estimate of the unpatched single chunk bit for bit.
+        p = xo.fastest_pulse(budget, 37)
+        b = xo.BathModel(gamma=0.05, t_c=t_c)
+        cfg = xo.OracleConfig(n_traj=8, seed=17, rwa=rwa)
+        whole = xo.simulate_transfer(p, b, omega0, cfg)
+        m = chunk_setup(p, b, omega0, cfg)[0].size
+        monkeypatch.setattr(montecarlo, "_NOISE_BLOCK_BYTES", 8 * m * 3 + 7)
+        chunks = []
+
+        def recording(*args):
+            chunks.append(_chunk_fidelities(*args))
+            return chunks[-1]
+
+        monkeypatch.setattr(montecarlo, "_chunk_fidelities", recording)
+        assert xo.simulate_transfer(p, b, omega0, cfg) == whole
+        assert [f.size for f in chunks] == [3, 3, 2]
 
     def test_splitting_bounds_the_step_only_for_a_driven_even_sector(self, budget):
         # Under RWA the even sector is an exact phase at any step.
@@ -93,6 +115,11 @@ class TestValidation:
             xo.OracleConfig(n_traj=0)
         with pytest.raises(ValueError):
             xo.OracleConfig(n_traj=2, dt=-0.1)
+        # Philox keys hold the seed in one 64-bit word.
+        assert xo.OracleConfig(n_traj=1, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="seed"):
+                xo.OracleConfig(n_traj=1, seed=seed)
 
 
 class TestAgainstPrediction:
@@ -191,12 +218,13 @@ class TestChunking:
 
 
     @pytest.mark.parametrize("t_c", [1.0, 0.0])
-    def test_ragged_last_chunk(self, budget, t_c):
+    def test_ragged_last_chunk(self, budget, monkeypatch, t_c):
         # Chunks of 7 share one noise buffer; the last chunk of 1 uses its
         # leading column.  The mean equals that of one chunk of all 22.
+        monkeypatch.setattr(montecarlo, "_CHUNK_TRAJ", 7)
         p = xo.fastest_pulse(budget, 64)
         b = xo.BathModel(gamma=0.05, t_c=t_c)
-        cfg = xo.OracleConfig(n_traj=22, seed=13, chunk_size=7)
+        cfg = xo.OracleConfig(n_traj=22, seed=13)
         v_steps, dt = chunk_setup(p, b, 0.0, cfg)
         whole = _chunk_fidelities(p, b, 0.0, cfg, v_steps, dt, 0, 22)
         est = xo.simulate_transfer(p, b, 0.0, cfg)
@@ -204,11 +232,12 @@ class TestChunking:
 
     @pytest.mark.parametrize("t_c, omega0, rwa", [(1.0, 0.0, True), (0.0, 0.0, True), (1.0, 0.5, False)])
     def test_partial_last_chunk_bitwise(self, budget, monkeypatch, t_c, omega0, rwa):
-        # n_traj = chunk_size + 1: the last chunk reads the leading column of
-        # the shared (m, chunk_size) buffer, a view whose rows are strided.
+        # n_traj = chunk + 1: the last chunk reads the leading column of the
+        # shared (m, chunk) buffer, a view whose rows are strided.
+        monkeypatch.setattr(montecarlo, "_CHUNK_TRAJ", 7)
         p = xo.fastest_pulse(budget, 64)
         b = xo.BathModel(gamma=0.05, t_c=t_c)
-        cfg = xo.OracleConfig(n_traj=8, seed=13, rwa=rwa, chunk_size=7)
+        cfg = xo.OracleConfig(n_traj=8, seed=13, rwa=rwa)
         chunks = []
 
         def recording(*args):

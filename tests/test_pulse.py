@@ -139,6 +139,26 @@ class TestScalePulse:
         assert abs(xo.pulse_energy(xo.scale_pulse(p, a)) - a * energy) <= 1e-14 * a * energy
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda p: p.phase_at(np.nan), "t"),
+    (lambda p: p.phase_at([0.0, np.nan]), "t"),
+    (lambda p: xo.control_amplitude(p, np.nan), "t"),
+    (lambda p: xo.markovian_optimum_infidelity(np.nan, 2.0), "gamma"),
+    (lambda p: xo.corrector_energy_estimate(0.1, np.nan), "available_time"),
+    (lambda p: xo.corrector_energy_estimate(np.nan, 1.0), "psi_ee"),
+    (lambda p: xo.minimal_corrector_energy(1.0, 0.1, np.nan), "available_time"),
+    (lambda p: xo.minimal_corrector_energy(np.nan, 0.1, 1.0), "omega0"),
+    (lambda p: xo.minimal_corrector_energy(1.0, np.nan, 1.0), "psi_ee"),
+], ids=["phase_at", "phase_at-array", "control_amplitude", "markovian_optimum_infidelity",
+        "corrector_energy_estimate-time", "corrector_energy_estimate-psi_ee",
+        "minimal_corrector_energy-time", "minimal_corrector_energy-omega0", "minimal_corrector_energy-psi_ee"])
+def test_nan_rejected_naming_the_parameter(call, name):
+    # Checks of the form "not lo <= x <= hi" fail on NaN before any arithmetic.
+    p = xo.fastest_pulse(ENERGY, 16)
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=rf"^{name} "):
+        call(p)
+
+
 def test_fastest_pulse_is_unique_energy_minimiser():
     # Any other transfer-complete pulse at t_f = t_min needs strictly more energy.
     budget = xo.EnergyBudget(ENERGY)
