@@ -26,11 +26,12 @@ On a uniform grid of spacing ``dt`` the kernel samples are
 
 since ``L^{-1}`` holds ``rho^(j-k)`` on and below the diagonal.  A kernel
 product is therefore two banded triangular solves, O(N) and without a
-kernel table.  The same factor generates the stationary Ornstein-Uhlenbeck
-samples: ``b = L^{-1} d`` with ``d_0 = sigma xi_0`` and
-``d_k = sigma sqrt(1 - rho^2) xi_k``, one column per trajectory of the
-oracle's time-major ``(steps, trajectories)`` noise block.  Both use one
-:class:`_ExpFactor`, built once per grid.
+kernel table, with one :class:`_ExpFactor` built once per grid.  The
+stationary Ornstein-Uhlenbeck samples obey the same recursion,
+``b = L^{-1} d`` with ``d_0 = sigma xi_0`` and
+``d_k = sigma sqrt(1 - rho^2) xi_k``: the oracle's time-major
+``(steps, trajectories)`` noise block runs it one row at a time, across all
+trajectories at once.
 """
 
 from __future__ import annotations
@@ -106,18 +107,17 @@ class _ExpFactor:
         self._band[0] = 1.0  # unit diagonal, not referenced with diag="U"
         self._band[1] = -self.rho
 
-    def solve(self, rhs: np.ndarray, transpose: bool = False, overwrite: bool = False) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """Solve ``L x = rhs``, or ``L^T x = rhs``, along the first axis.
 
         ``rhs`` is 1-d or has one column per right-hand side.  Forward (or,
         with ``transpose``, backward) substitution of the recursion
         ``x_k = rhs_k + rho x_{k-1}``, one column at a time, so each column's
-        result does not depend on the others.  With ``overwrite`` a
-        Fortran-ordered ``rhs`` is solved in place.
+        result does not depend on the others.
         """
-        # Positional (uplo, trans, diag, overwrite_b): keywords cost ~2 us
-        # per call in the f2py wrapper, twice per optimiser step.
-        x, info = dtbtrs(self._band, rhs, "L", "T" if transpose else "N", "U", overwrite)
+        # Positional (uplo, trans, diag): keywords cost ~2 us per call in the
+        # f2py wrapper, twice per optimiser step.
+        x, info = dtbtrs(self._band, rhs, "L", "T" if transpose else "N", "U")
         if info != 0:
             raise RuntimeError(f"banded triangular solve failed: LAPACK dtbtrs info = {info}")
         return x
@@ -165,8 +165,10 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
     column is bitwise the same whatever block it is drawn in.  Tiles of up
     to 256 trajectories are drawn into a trajectory-major scratch, one bit
     generator re-keyed per row (constructing one costs more than drawing its
-    normals), scaled in place, put through one multi-column banded solve
-    (OU) and copied into their columns.  ``out``, an ``(m, count)`` array
+    normals), and scaled straight into their columns.  The OU recursion
+    ``x_k = d_k + rho x_{k-1}`` then runs row by row over the whole block,
+    in place, with the product and the sum each rounded, so each column's
+    result does not depend on the others.  ``out``, an ``(m, count)`` array
     whose contents are overwritten (leading columns of a wider buffer will
     do), lets a caller reuse one buffer across blocks; it is returned.
     """
@@ -185,25 +187,25 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     tile = np.empty((min(count, _NOISE_TILE), m))
     if b.is_markovian:
-        white = np.sqrt(2.0 * b.corr_norm * b.gamma / dt)
+        scale = np.sqrt(2.0 * b.corr_norm * b.gamma / dt)
     else:
         factor = _ExpFactor(b, dt, m)
         sigma = np.sqrt(factor.c0)
-        step = sigma * np.sqrt(1.0 - factor.rho * factor.rho)
+        # Per step: sigma for the stationary first sample, then the innovation.
+        scale = np.full((m, 1), sigma * np.sqrt(1.0 - factor.rho * factor.rho))
+        scale[0] = sigma
     for j0 in range(0, count, _NOISE_TILE):
         xi = tile[: min(_NOISE_TILE, count - j0)]
         for index, row in enumerate(xi, first + j0):
             key[1] = index
             bits.state = state
             rng.standard_normal(out=row)
-        if b.is_markovian:
-            xi *= white
-            out[:, j0 : j0 + len(xi)] = xi.T
-        else:
-            start = sigma * xi[:, 0]
-            xi *= step
-            xi[:, 0] = start
-            out[:, j0 : j0 + len(xi)] = factor.solve(xi.T, overwrite=True)
+        np.multiply(xi.T, scale, out=out[:, j0 : j0 + len(xi)])
+    if not b.is_markovian:
+        carry = np.empty(count)
+        for k in range(1, m):
+            np.multiply(out[k - 1], factor.rho, out=carry)
+            out[k] += carry
     return out
 
 

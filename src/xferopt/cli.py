@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .fidelity import bath_infidelity, infidelity_freq
 from .leakage import perturbative_leakage_amplitude, propagate_even
 from .markovian import solve_markovian_profile
 from .montecarlo import OracleConfig, simulate_transfer
-from .optimizer import DEFAULT_STARTS, OptimizationProblem, optimize_rwa, optimize_with_leakage, sweep_final_time
+from .optimizer import OptimizationProblem, optimize_rwa, optimize_with_leakage, sweep_final_time
 from .pulse import EnergyBudget, PulseCsvError, pulse_energy, read_pulse_csv, write_pulse_csv
 
 
@@ -82,12 +81,7 @@ def cmd_evaluate(args) -> int:
 
 def _problem_opts(args) -> dict:
     """The :class:`OptimizationProblem` fields that optimize and sweep share."""
-    return {"grid_n": args.grid_n, "omega0": _omega0_from(args), "leak_weight": args.leak_weight,
-            "starts": args.starts}
-
-
-def _names(text: str) -> tuple:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+    return {"grid_n": args.grid_n, "omega0": _omega0_from(args), "leak_weight": args.leak_weight}
 
 
 def _add_problem_flags(sp):
@@ -96,8 +90,6 @@ def _add_problem_flags(sp):
     sp.add_argument("--leak-weight", dest="leak_weight", type=float, default=0.5,
                     help="leakage penalty weight (default 0.5)")
     sp.add_argument("--grid-n", dest="grid_n", type=int, default=512, help="pulse grid segments (default 512)")
-    sp.add_argument("--starts", type=_names, default=DEFAULT_STARTS,
-                    help=f"comma list of start templates (default {','.join(DEFAULT_STARTS)})")
 
 
 def _check_writable(path: str) -> None:
@@ -119,7 +111,7 @@ def cmd_optimize(args) -> int:
     print(f"leakage_penalty = {_fmt(res.breakdown.leakage_penalty)}")
     print(f"total_infidelity = {_fmt(res.breakdown.total)}")
     print(f"energy_used = {_fmt(res.energy_used)}")
-    print(f"energy_residual = {_fmt(res.constraint_residuals['energy'])}")
+    print(f"energy_residual = {_fmt(res.energy_residual)}")
     print(f"max_phi = {_fmt(float(np.max(res.pulse.phases)))}")
     print(f"pulse_file = {args.out}")
     return 0 if res.converged else 1
@@ -134,25 +126,22 @@ def cmd_sweep(args) -> int:
         raise ValueError("--t-f-list must name at least one final time")
     os.makedirs(args.out_dir, exist_ok=True)
     records = sweep_final_time(bath, budget, t_f_list, opts)
-    rows = []
-    for i, rec in enumerate(records):
-        pulse_file = ""
-        if rec.pulse is not None:
-            pulse_file = os.path.join(args.out_dir, f"pulse_{i:03d}.csv")
-            write_pulse_csv(rec.pulse, pulse_file)
-        rows.append(replace(rec, pulse_file=pulse_file))
     sweep_path = os.path.join(args.out_dir, "sweep.csv")
     with open(sweep_path, "w", encoding="utf-8") as fh:
         fh.write("tf_over_tmin,tc_over_tmin,infidelity,energy,max_phi,converged,pulse_file\n")
-        for rec in rows:
+        for i, rec in enumerate(records):
+            pulse_file = ""
+            if rec.pulse is not None:
+                pulse_file = os.path.join(args.out_dir, f"pulse_{i:03d}.csv")
+                write_pulse_csv(rec.pulse, pulse_file)
             fh.write(
                 f"{_fmt(rec.tf_over_tmin)},{_fmt(rec.tc_over_tmin)},{_fmt(rec.infidelity)},"
-                f"{_fmt(rec.energy)},{_fmt(rec.max_phi)},{str(rec.converged).lower()},{rec.pulse_file}\n"
+                f"{_fmt(rec.energy)},{_fmt(rec.max_phi)},{str(rec.converged).lower()},{pulse_file}\n"
             )
     print(f"sweep_file = {sweep_path}")
-    print(f"points = {len(rows)}")
+    print(f"points = {len(records)}")
     n_failed = 0
-    for rec in rows:
+    for rec in records:
         if not rec.converged:
             n_failed += 1
             reason = rec.error or "optimizer did not converge"
@@ -176,7 +165,7 @@ def cmd_markovian(args) -> int:
 
 def cmd_leakage(args) -> int:
     pulse = read_pulse_csv(args.pulse)
-    omega0 = args.omega0
+    omega0 = _omega0_from(args)
     if args.out:
         state, traj = propagate_even(pulse, omega0, return_trajectory=True)
         with open(args.out, "w", encoding="utf-8") as fh:

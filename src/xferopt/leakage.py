@@ -171,8 +171,8 @@ def propagate_even(p: Pulse, omega0: float, initial=(1.0 + 0.0j, 0.0j), return_t
     Unitarity is exact up to roundoff.  With ``return_trajectory`` the
     amplitudes after every grid node are returned as an ``(N+1, 2)`` array.
     """
-    if not omega0 >= 0.0:
-        raise ValueError(f"omega0 must be nonnegative, got {omega0}")
+    if not 0.0 <= omega0 < np.inf:
+        raise ValueError(f"omega0 must be finite and nonnegative, got {omega0}")
     gg, ee = _propagate(p.amplitudes(), omega0, p.dt, initial, return_trajectory)
     if not return_trajectory:
         return EvenState(amp_gg=complex(gg), amp_ee=complex(ee))
@@ -191,8 +191,8 @@ def leakage_value_grad(phases, dt: float, omega0: float):
     ``psi_k = M_k |gg>`` and the suffix row ``r_k = <ee| U_tot M_{k+1}^dagger``
     (unitarity of ``M_{k+1}``), so one scan serves both.
     """
-    if not omega0 >= 0.0:
-        raise ValueError(f"omega0 must be nonnegative, got {omega0}")
+    if not 0.0 <= omega0 < np.inf:
+        raise ValueError(f"omega0 must be finite and nonnegative, got {omega0}")
     v = np.diff(phases) / dt
     a, b, da, db = segment_rotation(v, omega0, dt, derivative=True)
     alpha, beta = _prefix_products(a, b)
@@ -214,8 +214,8 @@ def perturbative_leakage_amplitude(p: Pulse, omega0: float) -> complex:
     Evaluated exactly per constant-amplitude segment.  Meaningful in the
     small-leakage regime (magnitude below roughly 0.3).
     """
-    if not omega0 >= 0.0:
-        raise ValueError(f"omega0 must be nonnegative, got {omega0}")
+    if not 0.0 <= omega0 < np.inf:
+        raise ValueError(f"omega0 must be finite and nonnegative, got {omega0}")
     v = p.amplitudes()
     t = p.times
     if omega0 == 0.0:

@@ -201,8 +201,8 @@ def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) 
     standard error.  Deterministic for fixed ``(seed, n_traj)``: trajectory
     noise is keyed by index and chunk partial sums combine in index order.
     """
-    if not omega0 >= 0.0:
-        raise ValueError(f"omega0 must be nonnegative, got {omega0}")
+    if not 0.0 <= omega0 < np.inf:
+        raise ValueError(f"omega0 must be finite and nonnegative, got {omega0}")
     per_segment, dt = _resolve_steps(p, b, omega0, cfg)
     m = p.n_segments * per_segment
     chunk = min(_CHUNK_TRAJ, cfg.n_traj, _NOISE_BLOCK_BYTES // (8 * m))

@@ -36,10 +36,10 @@ keeps every value and gradient bitwise equal to the objective written out
 from :func:`xferopt.fidelity.bath_value_grad`, the leakage gradient, the
 sphere map and the chain rule; a test pins this.
 
-Multistart templates (the fastest ramp followed by a hold, the rescaled
-memoryless-optimal profile, and an overshoot ansatz) mitigate the local
-minima of echo-like landscapes; the best start wins, with ties broken by
-the fixed start order.
+Every design runs from the same three start templates (the fastest ramp
+followed by a hold, the rescaled memoryless-optimal profile, and an
+overshoot ansatz), which mitigate the local minima of echo-like landscapes;
+the best start wins, with ties broken by that fixed order.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ from .leakage import leakage_value_grad
 from .markovian import _rescaled_profile
 from .pulse import HALF_PI, EnergyBudget, Pulse, pulse_energy
 
-# Every start template, in the order that breaks ties between equal optima.
-DEFAULT_STARTS = ("ramp", "markovian", "overshoot")
+# The start templates of every design, in the order that breaks ties between equal optima.
+_STARTS = ("ramp", "markovian", "overshoot")
 # L-BFGS-B's gtol on the objective scaled by the start's bath infidelity,
 # without and with the leakage term, and its iteration cap per start.
 _GTOL = 1e-9
@@ -73,7 +73,7 @@ class OptimizationProblem:
     """One constrained pulse-design problem.
 
     ``omega0 = 0`` disables the leakage term.  Every design spends exactly
-    the budget's energy.
+    the budget's energy and runs from the same start templates.
     """
 
     bath: BathModel
@@ -82,7 +82,6 @@ class OptimizationProblem:
     omega0: float = 0.0
     leak_weight: float = 0.5
     grid_n: int = 512
-    starts: tuple = DEFAULT_STARTS
 
     def __post_init__(self):
         if not self.budget.t_min * (1.0 - 1e-12) <= self.t_f < math.inf:
@@ -94,22 +93,22 @@ class OptimizationProblem:
                 raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
-        if not self.starts:
-            raise ValueError("starts must name at least one start template")
-        for name in self.starts:
-            if name not in DEFAULT_STARTS:
-                raise ValueError(f"unknown start template {name!r}")
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The winning design of a problem.
+
+    ``energy_residual`` is ``|energy_used / E - 1|``; the endpoints hold
+    exactly.  ``start_label`` names the start template that won.
+    """
+
     pulse: Pulse
     breakdown: InfidelityBreakdown
     energy_used: float
-    constraint_residuals: dict
+    energy_residual: float
     iterations: int
     converged: bool
-    objective_history: tuple
     start_label: str = ""
 
 
@@ -127,7 +126,6 @@ class SweepRecord:
     energy: float
     max_phi: float
     converged: bool
-    pulse_file: str = ""
     error: str = ""
     pulse: Pulse | None = field(default=None, repr=False, compare=False)
 
@@ -140,7 +138,7 @@ def _template_phases(name: str, prob: OptimizationProblem) -> np.ndarray:
         phi = HALF_PI * np.minimum(t / prob.budget.t_min, 1.0)
     elif name == "markovian":
         phi = _rescaled_profile(prob.budget, prob.grid_n, prob.t_f)[1]
-    else:  # "overshoot"; the problem admits no other name
+    else:  # "overshoot"
         peak = HALF_PI + 0.3
         t_peak = 0.4 * prob.t_f
         phi = np.where(t <= t_peak, peak * t / t_peak, peak + (HALF_PI - peak) * (t - t_peak) / (prob.t_f - t_peak))
@@ -220,8 +218,7 @@ class _Plan:
         return fun
 
 
-def _result(plan: _Plan, phi: np.ndarray, label: str, iterations: int, converged: bool,
-            history: tuple) -> OptimizationResult:
+def _result(plan: _Plan, phi: np.ndarray, label: str, iterations: int, converged: bool) -> OptimizationResult:
     prob = plan.prob
     pulse = Pulse(t_f=prob.t_f, phases=phi)
     val, _, pop = plan.value_grad(phi)
@@ -232,10 +229,9 @@ def _result(plan: _Plan, phi: np.ndarray, label: str, iterations: int, converged
         pulse=pulse,
         breakdown=breakdown,
         energy_used=used,
-        constraint_residuals={"energy": abs(used / prob.budget.energy - 1.0), "endpoint": abs(phi[-1] - HALF_PI)},
+        energy_residual=abs(used / prob.budget.energy - 1.0),
         iterations=iterations,
         converged=converged,
-        objective_history=history,
         start_label=label,
     )
 
@@ -250,17 +246,11 @@ def _solve_from(plan: _Plan, phi0: np.ndarray, label: str) -> OptimizationResult
     bath0 = j0 - prob.leak_weight * pop0
     j_ref = max(bath0 if bath0 > 0.0 else abs(j0), 1e-12)
     gtol = _GTOL_LEAKAGE if plan.leakage else _GTOL
-    history = [j0]
-
-    def record(intermediate_result):
-        history.append(intermediate_result.fun * j_ref)
-
     res = minimize(
         plan.scaled(j_ref),
         x0,
         jac=True,
         method="L-BFGS-B",
-        callback=record,
         options={"maxiter": _MAX_ITER, "maxfun": 3 * _MAX_ITER, "ftol": 1e-16, "gtol": gtol, "maxcor": 30},
     )
     phi, _, norm = plan.phases(res.x)
@@ -268,7 +258,7 @@ def _solve_from(plan: _Plan, phi0: np.ndarray, label: str) -> OptimizationResult
     # gradient rounding keeps just above gtol, so the gradient itself decides:
     # its largest entry on the unit sphere, max|jac| |P w|.
     converged = float(np.max(np.abs(res.jac))) * norm <= _CONVERGED_GTOL_FACTOR * gtol
-    return _result(plan, phi, label, int(res.nit), converged, tuple(history))
+    return _result(plan, phi, label, int(res.nit), converged)
 
 
 def _optimize(prob: OptimizationProblem, include_leakage: bool) -> OptimizationResult:
@@ -276,8 +266,8 @@ def _optimize(prob: OptimizationProblem, include_leakage: bool) -> OptimizationR
     if plan.r == 0.0:
         # t_f = t_min: the ramp is the only feasible pulse.
         phi = np.linspace(0.0, HALF_PI, prob.grid_n + 1)
-        return _result(plan, phi, "ramp", 0, True, (plan.value_grad(phi)[0],))
-    results = [_solve_from(plan, _template_phases(label, prob), label) for label in prob.starts]
+        return _result(plan, phi, "ramp", 0, True)
+    results = [_solve_from(plan, _template_phases(label, prob), label) for label in _STARTS]
     # min keeps the first of equal keys: the fixed start order breaks ties.
     return min(results, key=lambda res: (not res.converged, res.breakdown.total))
 
@@ -297,8 +287,8 @@ def optimize_with_leakage(prob: OptimizationProblem) -> OptimizationResult:
 def sweep_final_time(bath: BathModel, budget: EnergyBudget, t_f_list, opts: dict | None = None):
     """Optimise over a list of final times and collect sweep records.
 
-    Every point is designed from the problem's own start templates, so the
-    points do not depend on each other or on their order.  A point whose
+    Every point is designed from the same start templates, so the points do
+    not depend on each other or on their order.  A point whose
     design raises a numerical or validation error (``ValueError``,
     ``ArithmeticError``) is recorded with ``converged = False`` and the
     reason in ``error`` instead of aborting the sweep; any other exception

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
@@ -134,11 +132,6 @@ class TestNoiseSampling:
             assert abs(cov - expected) < 4 * se
 
 
-def fused_multiply_add(a, b, c):
-    """``a * b + c`` rounded once, as an FMA instruction computes it."""
-    return float(Fraction(a) * Fraction(b) + Fraction(c))
-
-
 class TestNoiseBlock:
     """Each column of a block against a fresh Philox stream and the written-out noise."""
 
@@ -158,15 +151,11 @@ class TestNoiseBlock:
         for j in range(count):
             d = innovation * self.fresh_normals(seed, first + j, m)
             d[0] = sigma * self.fresh_normals(seed, first + j, 1)[0]
-            # x_k = rho x_{k-1} + d_k.  The LAPACK substitution may fuse the
-            # multiply-add or not, depending on the BLAS kernel; the column
-            # must equal one of the two roundings bit for bit.
-            plain, fused = d.copy(), d.copy()
+            # x_k = rho x_{k-1} + d_k, the product and the sum each rounded.
+            x = d.copy()
             for k in range(1, m):
-                plain[k] = rho * plain[k - 1] + d[k]
-                fused[k] = fused_multiply_add(rho, fused[k - 1], d[k])
-            col = block[:, j]
-            assert np.array_equal(col, plain) or np.array_equal(col, fused), j
+                x[k] = rho * x[k - 1] + d[k]
+            assert np.array_equal(block[:, j], x), j
 
     @pytest.mark.parametrize("first", [0, 5])
     def test_white_columns_bitwise(self, first):

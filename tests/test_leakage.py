@@ -153,6 +153,11 @@ class TestRotationSeries:
 
 
 class TestPropagateEven:
+    def test_omega0_outside_range_rejected(self, budget):
+        for omega0 in (np.inf, np.nan, -1.0):
+            with pytest.raises(ValueError, match="omega0 must be finite and nonnegative"):
+                xo.propagate_even(xo.fastest_pulse(budget, 16), omega0)
+
     def test_no_drive_no_leakage(self):
         p = xo.make_pulse(np.zeros(17), 2.0)
         state = xo.propagate_even(p, omega0=3.0)
@@ -235,6 +240,11 @@ class TestPropagateEven:
 
 
 class TestLeakageGradient:
+    def test_omega0_outside_range_rejected(self):
+        for omega0 in (np.inf, np.nan, -1.0):
+            with pytest.raises(ValueError, match="omega0 must be finite and nonnegative"):
+                leakage_value_grad(np.linspace(0.0, np.pi / 2, 17), 0.1, omega0)
+
     @pytest.mark.parametrize("n", [40, 2048])
     def test_matches_central_differences(self, n):
         # At N = 2048, Omega dt ~ 2e-3 exercises the small-angle branch of
@@ -281,6 +291,11 @@ class TestLeakageGradient:
 
 
 class TestPerturbativeAmplitude:
+    def test_omega0_outside_range_rejected(self, budget):
+        for omega0 in (np.inf, np.nan, -1.0):
+            with pytest.raises(ValueError, match="omega0 must be finite and nonnegative"):
+                xo.perturbative_leakage_amplitude(xo.fastest_pulse(budget, 16), omega0)
+
     def test_no_drive(self):
         p = xo.make_pulse(np.zeros(9), 1.0)
         assert xo.perturbative_leakage_amplitude(p, 2.0) == 0.0

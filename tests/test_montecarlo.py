@@ -63,6 +63,12 @@ class TestDeterminism:
 
 
 class TestValidation:
+    def test_omega0_outside_range_rejected(self, budget):
+        for omega0 in (np.inf, np.nan, -1.0):
+            with pytest.raises(ValueError, match="omega0 must be finite and nonnegative"):
+                xo.simulate_transfer(xo.fastest_pulse(budget, 16), xo.BathModel(gamma=0.05, t_c=0.0), omega0,
+                                     xo.OracleConfig(n_traj=2))
+
     def test_coarse_dt_rejected(self, budget):
         p = xo.fastest_pulse(budget, 64)
         b = xo.BathModel(gamma=0.05, t_c=0.1)
