@@ -15,11 +15,18 @@ derivative of each rotation into the exact gradient of the final |ee>
 population, with the suffix products obtained by unitarity.  The
 first-order leakage amplitude is ``-i integral V(tau) e^{i 2 omega_0 tau}``
 in the interaction picture of the splitting (that phase convention; the
-magnitude is convention-free).  An off-resonant population left in |ee> can
-be returned by a weak resonant modulation at ``2 omega_0`` whose minimal
-energy scales as ``kappa |psi_ee|^2 / T`` with the available time ``T``; the
-``1/T`` scaling is exact in the weak-drive limit while ``kappa`` is
-calibrated numerically (see :data:`DEFAULT_CORRECTOR_KAPPA`).
+magnitude is convention-free).
+
+An off-resonant population left in |ee> can be returned by a weak resonant
+modulation ``V = A sin(2 omega_0 t + chi)``.  In the rotating frame of the
+splitting, and dropping the terms at ``4 omega_0``, it couples |gg> and |ee>
+through ``(A/2)(sin chi sx + cos chi sy)``.  At ``chi = pi`` that is
+``-(A/2) sy``, which turns the real state ``(sqrt(1 - psi^2), psi)`` back
+to |gg> once ``A T = 2 asin psi``, at the energy ``A^2 T / 2 =
+2 asin^2 psi / T``.  The minimal energy therefore scales as
+``kappa |psi_ee|^2 / T`` with the available time ``T``; the ``1/T`` scaling
+is exact in the weak-drive limit while ``kappa`` is calibrated numerically
+(see :data:`DEFAULT_CORRECTOR_KAPPA`).
 """
 
 from __future__ import annotations
@@ -255,8 +262,14 @@ def minimal_corrector_energy(omega0: float, psi_ee: float, available_time: float
     Seeds the even system with a real amplitude ``psi_ee`` in |ee>, drives it
     with ``V(t) = A sin(2 omega0 t + chi)`` for ``available_time``, and
     searches amplitude and phase for the smallest drive that empties the
-    level.  Returns the drive energy, the optimum ``(A, chi)`` and the
-    residual population.
+    level.  The search is Nelder-Mead from the weak-drive optimum
+    ``(A, chi) = (2 asin(psi_ee) / T, pi)`` of the module docstring; the
+    drive is propagated exactly on 64 segments per drive period.  The
+    available time must span at least one period ``pi / omega0``: below it
+    the rotating-frame picture fails, and the search either leaves
+    population behind or lands on a zero that depends on its start.
+    Returns the drive energy, the optimum ``(A, chi)`` and the residual
+    population.
     """
     if not (0.0 < psi_ee < 1.0):
         raise ValueError(f"psi_ee must lie in (0, 1), got {psi_ee}")
@@ -264,27 +277,20 @@ def minimal_corrector_energy(omega0: float, psi_ee: float, available_time: float
         if not 0.0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
     period = np.pi / omega0
-    n = max(64, int(np.ceil(available_time / period)) * 64)  # 64 segments per drive period
+    if available_time < period:
+        raise ValueError(f"available_time must be at least one drive period pi/omega0 = {period}, "
+                         f"got {available_time}")
+    n = int(np.ceil(available_time / period)) * 64
+    dt = available_time / n
     t = np.linspace(0.0, available_time, n + 1)
-    init_gg = np.sqrt(1.0 - psi_ee ** 2)
-
-    a_guess = 2.0 * np.arcsin(psi_ee) / available_time
+    init = (np.sqrt(1.0 - psi_ee ** 2), psi_ee)
 
     def residual(a, chi):
         phases = a * (np.cos(chi) - np.cos(2.0 * omega0 * t + chi)) / (2.0 * omega0)
-        dt = available_time / n
-        _, e = _propagate(np.diff(phases) / dt, omega0, dt, (init_gg, psi_ee), False)
+        _, e = _propagate(np.diff(phases) / dt, omega0, dt, init, False)
         return float(abs(e) ** 2)
 
-    chis = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-    amps = a_guess * np.linspace(0.5, 1.8, 24)
-    best = None
-    for chi in chis:
-        for a in amps:
-            r = residual(a, chi)
-            if best is None or r < best[0]:
-                best = (r, a, chi)
-    res = minimize(lambda z: residual(abs(z[0]), z[1]), x0=[best[1], best[2]],
+    res = minimize(lambda z: residual(abs(z[0]), z[1]), x0=[2.0 * np.arcsin(psi_ee) / available_time, np.pi],
                    method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-16, "maxiter": 400})
     a_opt, chi_opt = abs(res.x[0]), res.x[1]
     pulse = sinusoidal_corrector_pulse(a_opt, chi_opt, omega0, available_time, n)

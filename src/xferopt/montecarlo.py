@@ -251,14 +251,16 @@ def shape_ratio_check(pulses, b: BathModel, omega0: float, cfg: OracleConfig) ->
     """Ratio (1 - mean) / predicted for each pulse, plus the spread.
 
     All pulses must be in the weak-coupling regime (predicted infidelity at
-    most 0.05) so the second-order prediction is meaningful.
+    most 0.05) so the second-order prediction is meaningful, and every
+    prediction must be positive so the ratio is defined (a noiseless bath
+    predicts 0).
     """
     pulses = list(pulses)
     if len(pulses) < 2:
         raise ValueError("need at least 2 pulses to compare shapes")
     predicted = [bath_infidelity(p, b) for p in pulses]
-    if any(pred > 0.05 for pred in predicted):
-        raise ValueError("shape comparison requires predicted infidelity <= 0.05 for every pulse")
+    if not all(0.0 < pred <= 0.05 for pred in predicted):
+        raise ValueError(f"shape comparison requires predicted infidelity in (0, 0.05] for every pulse, got {predicted}")
     estimates = [simulate_transfer(p, b, omega0, cfg) for p in pulses]
     ratios = [(1.0 - est.mean) / pred for est, pred in zip(estimates, predicted)]
     return ShapeRatioReport(estimates=tuple(estimates), predicted=tuple(predicted), ratios=tuple(ratios))

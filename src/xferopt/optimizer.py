@@ -36,9 +36,8 @@ keeps every value and gradient bitwise equal to the objective written out
 from :func:`xferopt.fidelity.bath_value_grad`, the leakage gradient, the
 sphere map and the chain rule; a test pins this.
 
-Every design runs from the same three start templates (the fastest ramp
-followed by a hold, the rescaled memoryless-optimal profile, and an
-overshoot ansatz), which mitigate the local minima of echo-like landscapes;
+Every design runs from the same two closed-form start templates, the
+fastest ramp followed by a hold and the rescaled memoryless-optimal profile;
 the best start wins, with ties broken by that fixed order.
 """
 
@@ -57,7 +56,7 @@ from .markovian import _rescaled_profile
 from .pulse import HALF_PI, EnergyBudget, Pulse, pulse_energy
 
 # The start templates of every design, in the order that breaks ties between equal optima.
-_STARTS = ("ramp", "markovian", "overshoot")
+_STARTS = ("ramp", "markovian")
 # L-BFGS-B's gtol on the objective scaled by the start's bath infidelity,
 # without and with the leakage term, and its iteration cap per start.
 _GTOL = 1e-9
@@ -131,18 +130,12 @@ class SweepRecord:
 
 
 def _template_phases(name: str, prob: OptimizationProblem) -> np.ndarray:
-    t = np.linspace(0.0, prob.t_f, prob.grid_n + 1)
     if name == "ramp":
         # The fastest ramp, then a hold: the plain ramp over [0, t_f] is the
         # sphere's centre and has no direction.
-        phi = HALF_PI * np.minimum(t / prob.budget.t_min, 1.0)
-    elif name == "markovian":
-        phi = _rescaled_profile(prob.budget, prob.grid_n, prob.t_f)[1]
-    else:  # "overshoot"
-        peak = HALF_PI + 0.3
-        t_peak = 0.4 * prob.t_f
-        phi = np.where(t <= t_peak, peak * t / t_peak, peak + (HALF_PI - peak) * (t - t_peak) / (prob.t_f - t_peak))
-    return np.asarray(phi, dtype=float)
+        t = np.linspace(0.0, prob.t_f, prob.grid_n + 1)
+        return HALF_PI * np.minimum(t / prob.budget.t_min, 1.0)
+    return _rescaled_profile(prob.budget, prob.grid_n, prob.t_f)[1]
 
 
 class _Plan:

@@ -352,6 +352,19 @@ class TestCorrector:
             t_first[amp] = pulse.times[int(np.argmin(pop))]
         assert t_first[0.02] == pytest.approx(2 * t_first[0.04], rel=0.03)
 
+    def test_strong_residual_reaches_weak_drive_optimum(self):
+        # Nelder-Mead from the weak-drive optimum ends at the closed-form
+        # energy 2 asin^2(psi) / T even where |ee> holds most of the population.
+        omega0, psi, t_avail = 10.0, 0.9, 40.0
+        out = xo.minimal_corrector_energy(omega0, psi, t_avail)
+        assert out["residual_population"] < 1e-12
+        assert out["energy"] == pytest.approx(2.0 * np.arcsin(psi) ** 2 / t_avail, rel=1e-3)
+
+    @pytest.mark.parametrize("omega0, t_avail", [(1.0, 3.0), (0.3, 10.0), (10.0, 0.3)])
+    def test_shorter_than_one_drive_period_rejected(self, omega0, t_avail):
+        with pytest.raises(ValueError, match="available_time"):
+            xo.minimal_corrector_energy(omega0, 0.3, t_avail)
+
     def test_minimal_energy_study(self):
         # kappa fit over a small time ladder; residual spread below 5 percent.
         omega0 = np.pi

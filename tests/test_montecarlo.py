@@ -192,6 +192,15 @@ class TestShapeRatio:
         with pytest.raises(ValueError, match="0.05"):
             xo.shape_ratio_check([p, p], b, 0.0, xo.OracleConfig(n_traj=2))
 
+    def test_noiseless_bath_rejected(self, budget, monkeypatch):
+        # gamma = 0 predicts 0 for every pulse, so no ratio is defined; the
+        # check fails before any trajectory is simulated.
+        p = xo.fastest_pulse(budget, 64)
+        b = xo.BathModel(gamma=0.0, t_c=1.0)
+        monkeypatch.setattr(montecarlo, "simulate_transfer", lambda *args: pytest.fail("simulated"))
+        with pytest.raises(ValueError, match=r"\(0, 0.05\]"):
+            xo.shape_ratio_check([p, p], b, 0.0, xo.OracleConfig(n_traj=2))
+
     @pytest.mark.slow
     def test_fastest_vs_optimal_markovian(self, budget):
         gamma = 0.04

@@ -246,12 +246,16 @@ def test_overshoot_appears_for_long_memory():
     assert res.breakdown.total < 0.7 * xo.infidelity_time(fast, prob.bath)
 
 
-def test_every_start_converges_to_one_optimum():
+@pytest.mark.parametrize("leakage", [
+    pytest.param({}, id="rwa"),
+    pytest.param({"omega0": np.pi, "leak_weight": 0.5}, id="leakage"),  # the criterion-08 problem
+])
+def test_every_start_converges_to_one_optimum(leakage):
     # L-BFGS-B ends some of these starts in its line search, at an optimum it
     # cannot improve in floating point; the projected gradient still counts
     # them as converged.
-    prob = small_problem(t_c=10.0, t_f=10.0, n=512)
-    plan = _Plan(prob, include_leakage=False)
+    prob = small_problem(t_c=10.0, t_f=10.0, n=512, **leakage)
+    plan = _Plan(prob, include_leakage=bool(leakage))
     results = [optimizer._solve_from(plan, optimizer._template_phases(label, prob), label)
                for label in optimizer._STARTS]
     best = min(r.breakdown.total for r in results)
