@@ -16,7 +16,6 @@ from .fidelity import (
     modulation_spectrum,
 )
 from .leakage import (
-    DEFAULT_CORRECTOR_KAPPA,
     EvenState,
     corrector_energy_estimate,
     minimal_corrector_energy,
@@ -65,7 +64,7 @@ __all__ = [
     "BathModel", "DEFAULT_CORR_NORM", "correlation", "spectrum", "sample_noise_trajectory",
     "InfidelityBreakdown", "bath_infidelity", "infidelity_freq",
     "infidelity_gradient", "infidelity_markovian", "infidelity_time", "modulation_spectrum",
-    "DEFAULT_CORRECTOR_KAPPA", "EvenState", "corrector_energy_estimate",
+    "EvenState", "corrector_energy_estimate",
     "minimal_corrector_energy", "perturbative_leakage_amplitude", "propagate_even",
     "sinusoidal_corrector_pulse",
     "MarkovianProfile", "markovian_optimum_infidelity", "optimal_markovian_pulse",

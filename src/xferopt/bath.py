@@ -31,19 +31,26 @@ stationary Ornstein-Uhlenbeck samples obey the same recursion,
 ``b = L^{-1} d`` with ``d_0 = sigma xi_0`` and
 ``d_k = sigma sqrt(1 - rho^2) xi_k``: the oracle's time-major
 ``(steps, trajectories)`` noise block runs it one row at a time, across all
-trajectories at once.
+trajectories at once (a narrow block, one column at a time).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
 DEFAULT_CORR_NORM = 0.5
-# Trajectories per scratch tile of sample_noise_block (1 MiB at 512 steps).
-_NOISE_TILE = 256
+# Byte budget of sample_noise_block's trajectory-major scratch tile: 256
+# trajectories at 512 steps, one at least.
+_NOISE_TILE_BYTES = 1 << 20
+# Narrowest block whose OU recursion runs row by row; narrower blocks run it
+# down each column in Python floats.  A row costs two numpy calls whatever
+# its width, a column about 0.15 us per step: they break even at 12-16
+# columns, measured at 512 and 4096 steps.
+_OU_ROWWISE_MIN_COUNT = 12
 
 
 @dataclass(frozen=True)
@@ -162,13 +169,15 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
     ``t_c = 0`` white noise of variance ``2 corr_norm gamma / dt`` per step;
     zeros, without draws, for ``gamma = 0``.  Each column's normals come
     from a Philox stream keyed by ``(seed, first + j)`` at counter 0, so a
-    column is bitwise the same whatever block it is drawn in.  Tiles of up
-    to 256 trajectories are drawn into a trajectory-major scratch, one bit
-    generator re-keyed per row (constructing one costs more than drawing its
-    normals), and scaled straight into their columns.  The OU recursion
-    ``x_k = d_k + rho x_{k-1}`` then runs row by row over the whole block,
-    in place, with the product and the sum each rounded, so each column's
-    result does not depend on the others.  ``out``, an ``(m, count)`` array
+    column is bitwise the same whatever block it is drawn in.  Tiles of
+    trajectories (1 MiB, at least one trajectory) are drawn into a
+    trajectory-major scratch, one bit generator re-keyed per row
+    (constructing one costs more than drawing its normals), and scaled
+    straight into their columns.  The OU recursion ``x_k = d_k + rho x_{k-1}``
+    then runs in place, row by row over the whole block, or down each column
+    in Python floats when the block is narrow; either way the product and
+    the sum are each rounded, so each column's result does not depend on the
+    others or on the block's width.  ``out``, an ``(m, count)`` array
     whose contents are overwritten (leading columns of a wider buffer will
     do), lets a caller reuse one buffer across blocks; it is returned.
     """
@@ -185,7 +194,8 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
     key = [seed, first]
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    tile = np.empty((min(count, _NOISE_TILE), m))
+    tile_rows = max(1, _NOISE_TILE_BYTES // (8 * m))
+    tile = np.empty((min(count, tile_rows), m))
     if b.is_markovian:
         scale = np.sqrt(2.0 * b.corr_norm * b.gamma / dt)
     else:
@@ -194,18 +204,23 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
         # Per step: sigma for the stationary first sample, then the innovation.
         scale = np.full((m, 1), sigma * np.sqrt(1.0 - factor.rho * factor.rho))
         scale[0] = sigma
-    for j0 in range(0, count, _NOISE_TILE):
-        xi = tile[: min(_NOISE_TILE, count - j0)]
+    for j0 in range(0, count, tile_rows):
+        xi = tile[: min(tile_rows, count - j0)]
         for index, row in enumerate(xi, first + j0):
             key[1] = index
             bits.state = state
             rng.standard_normal(out=row)
         np.multiply(xi.T, scale, out=out[:, j0 : j0 + len(xi)])
     if not b.is_markovian:
-        carry = np.empty(count)
-        for k in range(1, m):
-            np.multiply(out[k - 1], factor.rho, out=carry)
-            out[k] += carry
+        rho = float(factor.rho)
+        if count < _OU_ROWWISE_MIN_COUNT:
+            for j in range(count):
+                out[:, j] = list(accumulate(out[:, j].tolist(), lambda x, d: d + rho * x))
+        else:
+            carry = np.empty(count)
+            for k in range(1, m):
+                np.multiply(out[k - 1], rho, out=carry)
+                out[k] += carry
     return out
 
 

@@ -188,7 +188,7 @@ def infidelity_gradient(p: Pulse, b: BathModel) -> np.ndarray:
 
 # Byte budget of one slice of frequency nodes: its two phase tables and the
 # block sums of both integrands, 16 (B + 3 Q) bytes per node.
-_FREQ_SLICE_BYTES = 1 << 24
+_FREQ_SLICE_BYTES = 1 << 22
 
 
 def _block_shape(n_samples: int):

@@ -24,8 +24,9 @@ corrected) and ``B`` (transferred), the six-state mean per trajectory is
     f = ( |A|^2 + |B|^2 - Im(conj(A) B) ) / 3.
 
 Trajectories are keyed by a counter-based generator on
-``(seed, trajectory index)`` and accumulated chunk-by-chunk in fixed index
-order, so results are bitwise reproducible.  Each chunk draws its noise as
+``(seed, trajectory index)`` and simulated in chunks, whose fidelities are
+summed once over all trajectories, so results are bitwise reproducible and
+do not depend on the chunk width.  Each chunk draws its noise as
 one time-major ``(steps, count)`` block
 (:func:`xferopt.bath.sample_noise_block`) into a buffer shared by all
 chunks.  The step loop reads the block 8 rows at a time, gets those steps'
@@ -52,8 +53,8 @@ from .pulse import Pulse
 NORM_TOL = 1e-8
 # Trajectories per chunk, fewer where the chunk's noise block (steps x
 # trajectories x 8 bytes) would exceed _NOISE_BLOCK_BYTES; a full chunk at
-# 512 steps needs 16 MiB.
-_CHUNK_TRAJ = 4096
+# 512 steps needs 8 MiB.
+_CHUNK_TRAJ = 2048
 _NOISE_BLOCK_BYTES = 1 << 28
 # Steps advanced per segment_rotation call.
 _BLOCK_STEPS = 8
@@ -199,7 +200,10 @@ def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) 
 
     Returns the mean fidelity over ``cfg.n_traj`` noise trajectories and its
     standard error.  Deterministic for fixed ``(seed, n_traj)``: trajectory
-    noise is keyed by index and chunk partial sums combine in index order.
+    noise is keyed by index, and each chunk writes its fidelities into one
+    ``(n_traj,)`` array (8 bytes per trajectory) that is summed once, in an
+    order set by ``n_traj`` alone, so the chunk width does not change the
+    result.
     """
     if not 0.0 <= omega0 < np.inf:
         raise ValueError(f"omega0 must be finite and nonnegative, got {omega0}")
@@ -213,13 +217,13 @@ def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) 
     v_steps = np.repeat(p.amplitudes(), per_segment)
 
     noise_buffer = np.empty((m, chunk))
-    fsum = 0.0
-    fsq = 0.0
+    f = np.empty(cfg.n_traj)
     for i0 in range(0, cfg.n_traj, chunk):
         count = min(chunk, cfg.n_traj - i0)
-        f = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, i0, count, noise_buffer[:, :count])
-        fsum += float(np.sum(f))
-        fsq += float(np.sum(f * f))
+        f[i0 : i0 + count] = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, i0, count, noise_buffer[:, :count])
+    fsum = float(np.sum(f))
+    f *= f
+    fsq = float(np.sum(f))
     mean = fsum / cfg.n_traj
     if cfg.n_traj > 1:
         var = max((fsq - cfg.n_traj * mean * mean) / (cfg.n_traj - 1), 0.0)

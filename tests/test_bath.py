@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
 import xferopt as xo
+from xferopt import bath
 from xferopt.bath import kernel_product, sample_noise_block
 
 
@@ -141,21 +144,25 @@ class TestNoiseBlock:
 
     @pytest.mark.parametrize("first", [0, 5])
     def test_ou_columns_bitwise(self, first):
+        # Widths on both sides of the one where the recursion switches from
+        # running down each column to running row by row.
         b = xo.BathModel(gamma=0.035, t_c=1.0)
-        dt, m, seed, count = 0.01, 64, 3, 4
-        block = sample_noise_block(b, dt, m, seed, first, count)
-        assert block.shape == (m, count)
+        dt, m, seed = 0.01, 64, 3
         rho = np.exp(-dt / b.t_c)
         sigma = np.sqrt(b.corr_norm * b.gamma / b.t_c)
         innovation = sigma * np.sqrt(1.0 - rho * rho)
-        for j in range(count):
-            d = innovation * self.fresh_normals(seed, first + j, m)
-            d[0] = sigma * self.fresh_normals(seed, first + j, 1)[0]
-            # x_k = rho x_{k-1} + d_k, the product and the sum each rounded.
-            x = d.copy()
-            for k in range(1, m):
-                x[k] = rho * x[k - 1] + d[k]
-            assert np.array_equal(block[:, j], x), j
+        narrow = bath._OU_ROWWISE_MIN_COUNT
+        for count in (4, narrow - 1, narrow, 40):
+            block = sample_noise_block(b, dt, m, seed, first, count)
+            assert block.shape == (m, count)
+            for j in range(count):
+                d = innovation * self.fresh_normals(seed, first + j, m)
+                d[0] = sigma * self.fresh_normals(seed, first + j, 1)[0]
+                # x_k = rho x_{k-1} + d_k, the product and the sum each rounded.
+                x = d.copy()
+                for k in range(1, m):
+                    x[k] = rho * x[k - 1] + d[k]
+                assert np.array_equal(block[:, j], x), (count, j)
 
     @pytest.mark.parametrize("first", [0, 5])
     def test_white_columns_bitwise(self, first):
@@ -191,12 +198,16 @@ class TestNoiseBlock:
         xo.BathModel(gamma=0.035, t_c=1.0), xo.BathModel(gamma=0.04, t_c=0.0), xo.BathModel(gamma=0.0, t_c=1.0),
     ])
     def test_columns_across_tile_edges(self, b):
-        # Counts on both sides of the 256-trajectory sampling tile.  Each
-        # column is its trajectory alone: sample_noise_trajectory, or for
-        # white noise the scaled fresh normals.
-        dt, m, seed, first = 0.01, 40, 5, 3
+        # Counts on both sides of the 256-trajectory sampling tile of 512
+        # steps, and of the width below which the OU recursion runs down each
+        # column.  Each column is its trajectory alone: sample_noise_trajectory
+        # (a block of one column), or for white noise the scaled fresh normals.
+        dt, m, seed, first = 0.01, 512, 5, 3
+        tile = bath._NOISE_TILE_BYTES // (8 * m)
+        narrow = bath._OU_ROWWISE_MIN_COUNT
+        assert tile == 256
         grid = np.arange(m) * dt
-        for count in (1, 255, 256, 257, 513):
+        for count in (1, narrow - 1, narrow, tile - 1, tile, tile + 1, 2 * tile + 1):
             block = sample_noise_block(b, dt, m, seed, first, count)
             assert block.shape == (m, count)
             for j in range(count):
@@ -205,6 +216,18 @@ class TestNoiseBlock:
                 else:
                     want = xo.sample_noise_trajectory(b, grid, seed=seed, trajectory_index=first + j)
                 assert np.array_equal(block[:, j], want), (count, j)
+
+    @pytest.mark.parametrize("b", [xo.BathModel(gamma=0.035, t_c=1.0), xo.BathModel(gamma=0.04, t_c=0.0)])
+    def test_scratch_bounded_on_long_step_grids(self, b):
+        # At 16384 steps the 1 MiB scratch tile holds 8 trajectories; the
+        # block of 257 (33 MiB) is returned, and little else is held with it.
+        tracemalloc.start()
+        try:
+            block = sample_noise_block(b, 0.01, 16384, 3, 0, 257)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - block.nbytes <= 2 * 2 ** 20
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

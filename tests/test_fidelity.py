@@ -127,8 +127,9 @@ class TestTimeFreqAgreement:
 
     def test_large_grid_memory_bounded(self, budget):
         # One slice of frequency nodes holds its two phase tables and the
-        # block sums of both integrands within _FREQ_SLICE_BYTES (16 MiB);
-        # the next slice's arrays are built while the last one's are held.
+        # block sums of both integrands within _FREQ_SLICE_BYTES (4 MiB);
+        # the next slice's arrays are built while the last one's are held
+        # (6.1 MiB traced; 18 MiB with 16 MiB slices).
         p = xo.fastest_pulse(budget, 8192)
         tracemalloc.start()
         try:
@@ -136,12 +137,12 @@ class TestTimeFreqAgreement:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2 ** 20
+        assert peak <= 8 * 2 ** 20
 
     def test_slices_do_not_overlap_in_memory(self, budget):
         # Each slice's tables and block sums are released before the next
         # slice builds its own, so the peak stays near one slice's budget
-        # (17.9 MiB traced); holding two slices at once gives 25.7 MiB.
+        # (6.1 MiB traced); holding two slices at once gives 7.9 MiB.
         p = xo.fastest_pulse(budget, 8192)
         tracemalloc.start()
         try:
@@ -149,7 +150,7 @@ class TestTimeFreqAgreement:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * 2 ** 20
+        assert peak <= 7 * 2 ** 20
 
     @given(
         n=st.integers(2, 1500),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -74,6 +76,19 @@ class TestValidation:
         b = xo.BathModel(gamma=0.05, t_c=0.1)
         with pytest.raises(ValueError, match="dt too coarse"):
             xo.simulate_transfer(p, b, 0.0, xo.OracleConfig(n_traj=2, dt=0.05))
+
+    def test_traced_peak_bounded(self, budget):
+        # 512 steps: the 2048-trajectory noise block (8 MiB) is the largest
+        # array; chunks of 4096 traced 18 MiB.
+        p = xo.make_pulse(np.linspace(0.0, xo.HALF_PI, 257), budget.t_min)
+        b = xo.BathModel(gamma=0.035, t_c=1.0)
+        tracemalloc.start()
+        try:
+            xo.simulate_transfer(p, b, 0.0, xo.OracleConfig(n_traj=8192, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20
 
     def test_oversized_step_grid_rejected(self, budget):
         # 256 segments x 2^18 steps x 8 bytes = 512 MiB for one trajectory,
@@ -239,11 +254,26 @@ class TestChunking:
         monkeypatch.setattr(montecarlo, "_CHUNK_TRAJ", 7)
         p = xo.fastest_pulse(budget, 64)
         b = xo.BathModel(gamma=0.05, t_c=t_c)
-        cfg = xo.OracleConfig(n_traj=22, seed=13)
+        cfg = xo.OracleConfig(n_traj=22, seed=12)
         v_steps, dt = chunk_setup(p, b, 0.0, cfg)
         whole = _chunk_fidelities(p, b, 0.0, cfg, v_steps, dt, 0, 22)
         est = xo.simulate_transfer(p, b, 0.0, cfg)
-        assert est.mean == pytest.approx(np.mean(whole), rel=1e-15, abs=0.0)
+        assert est.mean == np.mean(whole)
+
+    @pytest.mark.parametrize("n_traj", [8192, 10000])
+    @pytest.mark.parametrize("t_c, omega0, rwa", [(1.0, 0.0, True), (0.0, 0.0, True), (1.0, 0.5, False)])
+    def test_estimate_bitwise_equal_across_chunk_widths(self, budget, monkeypatch, t_c, omega0, rwa, n_traj):
+        # The fidelities of all trajectories are summed once, so the mean and
+        # the standard error do not depend on how the trajectories are chunked.
+        p = xo.fastest_pulse(budget, 16)
+        b = xo.BathModel(gamma=0.05, t_c=t_c)
+        cfg = xo.OracleConfig(n_traj=n_traj, seed=11, rwa=rwa)
+        estimates = set()
+        for width in (1000, 1024, 2048, 4096):
+            monkeypatch.setattr(montecarlo, "_CHUNK_TRAJ", width)
+            est = xo.simulate_transfer(p, b, omega0, cfg)
+            estimates.add((est.mean, est.stderr))
+        assert len(estimates) == 1, estimates
 
     @pytest.mark.parametrize("t_c, omega0, rwa", [(1.0, 0.0, True), (0.0, 0.0, True), (1.0, 0.5, False)])
     def test_partial_last_chunk_bitwise(self, budget, monkeypatch, t_c, omega0, rwa):
