@@ -5,7 +5,7 @@ state transfer from a dephasing-prone qubit to a quiet one, driven by a
 controlled coupling with a fixed total energy.
 """
 
-from .bath import DEFAULT_CORR_NORM, BathModel, correlation, sample_noise_trajectory, spectrum
+from .bath import BathModel, correlation, sample_noise_trajectory, spectrum
 from .fidelity import (
     InfidelityBreakdown,
     bath_infidelity,
@@ -61,7 +61,7 @@ from .pulse import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BathModel", "DEFAULT_CORR_NORM", "correlation", "spectrum", "sample_noise_trajectory",
+    "BathModel", "correlation", "spectrum", "sample_noise_trajectory",
     "InfidelityBreakdown", "bath_infidelity", "infidelity_freq",
     "infidelity_gradient", "infidelity_markovian", "infidelity_time", "modulation_spectrum",
     "EvenState", "corrector_energy_estimate",

@@ -3,14 +3,13 @@
 The bath couples to the source qubit through its ``sigma_z`` and is described
 by an exponentially decaying correlation kernel
 
-    Phi(t) = corr_norm * (gamma / t_c) * exp(-|t| / t_c)
+    Phi(t) = (gamma / (2 t_c)) * exp(-|t| / t_c)
 
 with memory time ``t_c``; ``t_c = 0`` denotes the memoryless (Markovian)
 limit, handled analytically by the fidelity module.  The kernel area is
-``2 * corr_norm * gamma``, so the default ``corr_norm = 0.5`` makes the
-memoryless limit a white-noise kernel of weight ``gamma``; with that choice
-the linear-ramp transfer has infidelity ``gamma * pi^2 / (8 E)``.  Setting
-``corr_norm = 1`` recovers the bare ``(gamma/t_c) exp(-|t|/t_c)`` kernel.
+``gamma``, so the memoryless limit is a white-noise kernel of weight
+``gamma``, and the linear-ramp transfer has infidelity
+``gamma * pi^2 / (8 E)``.  ``gamma`` is the bath's only strength.
 
 Fourier convention: the coupling spectrum is
 ``G(omega) = (1/2pi) integral Phi(t) e^{i omega t} dt``, paired with
@@ -18,7 +17,7 @@ finite-time transforms ``integral x(tau) e^{-i omega tau} d tau`` in the
 fidelity module so that Parseval closes without stray ``2 pi`` factors.
 
 On a uniform grid of spacing ``dt`` the kernel samples are
-``Phi(m dt) = c0 rho^m`` with ``c0 = corr_norm * gamma / t_c`` and
+``Phi(m dt) = c0 rho^m`` with ``c0 = gamma / (2 t_c)`` and
 ``rho = exp(-dt/t_c)``.  With ``S`` the down-shift matrix and
 ``L = I - rho S`` (unit lower bidiagonal), the kernel matrix is exactly
 
@@ -42,7 +41,6 @@ from itertools import accumulate
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-DEFAULT_CORR_NORM = 0.5
 # Byte budget of sample_noise_block's trajectory-major scratch tile: 256
 # trajectories at 512 steps, one at least.
 _NOISE_TILE_BYTES = 1 << 20
@@ -59,15 +57,12 @@ class BathModel:
 
     gamma: float
     t_c: float
-    corr_norm: float = DEFAULT_CORR_NORM
 
     def __post_init__(self):
         if not np.isfinite(self.gamma) or self.gamma < 0.0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if not np.isfinite(self.t_c) or self.t_c < 0.0:
             raise ValueError(f"t_c must be nonnegative, got {self.t_c}")
-        if not np.isfinite(self.corr_norm) or self.corr_norm <= 0.0:
-            raise ValueError(f"corr_norm must be positive, got {self.corr_norm}")
 
     @property
     def is_markovian(self) -> bool:
@@ -83,18 +78,18 @@ def correlation(b: BathModel, dt):
     if b.is_markovian:
         raise ValueError("correlation kernel undefined at t_c = 0; use the Markovian closed form")
     dt = np.asarray(dt, dtype=float)
-    out = (b.corr_norm * b.gamma / b.t_c) * np.exp(-np.abs(dt) / b.t_c)
+    out = (0.5 * b.gamma / b.t_c) * np.exp(-np.abs(dt) / b.t_c)
     return float(out) if out.ndim == 0 else out
 
 
 def spectrum(b: BathModel, omega):
     """Coupling spectrum ``G(omega)``, the Fourier transform of the kernel.
 
-    ``G(omega) = (corr_norm * gamma / pi) / (1 + omega^2 t_c^2)``; for
-    ``t_c = 0`` this is flat at ``corr_norm * gamma / pi``.
+    ``G(omega) = (gamma / (2 pi)) / (1 + omega^2 t_c^2)``; for
+    ``t_c = 0`` this is flat at ``gamma / (2 pi)``.
     """
     omega = np.asarray(omega, dtype=float)
-    flat = b.corr_norm * b.gamma / np.pi
+    flat = 0.5 * b.gamma / np.pi
     out = flat / (1.0 + (omega * b.t_c) ** 2)
     return float(out) if out.ndim == 0 else out
 
@@ -103,13 +98,13 @@ class _ExpFactor:
     """The factor ``L = I - rho S`` of the exponential kernel on ``n`` samples of ``dt``.
 
     Holds ``rho = exp(-dt/t_c)``, the kernel's zero-lag value
-    ``c0 = corr_norm gamma / t_c`` and the LAPACK band of ``L``, so a caller
+    ``c0 = gamma / (2 t_c)`` and the LAPACK band of ``L``, so a caller
     that solves on one grid many times builds them once.  Requires ``t_c > 0``.
     """
 
     def __init__(self, b: BathModel, dt: float, n: int):
         self.rho = np.exp(-dt / b.t_c)
-        self.c0 = b.corr_norm * b.gamma / b.t_c
+        self.c0 = 0.5 * b.gamma / b.t_c
         self._band = np.empty((2, n))
         self._band[0] = 1.0  # unit diagonal, not referenced with diag="U"
         self._band[1] = -self.rho
@@ -166,7 +161,7 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
     Returns a time-major ``(m, count)`` array whose column ``j`` belongs to
     trajectory ``first + j``: for ``t_c > 0`` the stationary
     Ornstein-Uhlenbeck samples of :func:`sample_noise_trajectory`, for
-    ``t_c = 0`` white noise of variance ``2 corr_norm gamma / dt`` per step;
+    ``t_c = 0`` white noise of variance ``gamma / dt`` per step;
     zeros, without draws, for ``gamma = 0``.  Each column's normals come
     from a Philox stream keyed by ``(seed, first + j)`` at counter 0, so a
     column is bitwise the same whatever block it is drawn in.  Tiles of
@@ -197,7 +192,7 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
     tile_rows = max(1, _NOISE_TILE_BYTES // (8 * m))
     tile = np.empty((min(count, tile_rows), m))
     if b.is_markovian:
-        scale = np.sqrt(2.0 * b.corr_norm * b.gamma / dt)
+        scale = np.sqrt(b.gamma / dt)
     else:
         factor = _ExpFactor(b, dt, m)
         sigma = np.sqrt(factor.c0)
@@ -230,7 +225,7 @@ def sample_noise_trajectory(b: BathModel, grid, seed: int, trajectory_index: int
     Uses the exact discrete recursion
     ``b_{k+1} = rho b_k + sigma sqrt(1 - rho^2) xi_k`` with
     ``rho = exp(-dt/t_c)`` and stationary variance
-    ``sigma^2 = corr_norm * gamma / t_c``, so the ensemble statistics match
+    ``sigma^2 = gamma / (2 t_c)``, so the ensemble statistics match
     :func:`correlation` exactly at the grid lags.  Normals come from a
     counter-based Philox generator keyed by ``(seed, trajectory_index)``;
     the result is bitwise reproducible regardless of evaluation order, and

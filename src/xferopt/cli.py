@@ -1,10 +1,12 @@
 """Command-line front end: evaluate, optimize, sweep, markovian, leakage, oracle.
 
-Every parameter is a flag with one default and one type.  An argument
-``@file`` stands for the lines of ``file``, one argument per line
-(``--gamma=0.02``); where a flag is given twice the last value wins, so flags
-after ``@file`` override it.  All outputs are plain CSV or fixed-format
-text, so reruns with the same inputs are byte-identical.
+Every parameter is a flag with one default and one type; where a dataclass
+(:class:`OptimizationProblem`, :class:`OracleConfig`) owns the default, the
+flag reads it from the dataclass.  An argument ``@file`` stands for the
+lines of ``file``, one argument per line (``--gamma=0.02``); where a flag is
+given twice the last value wins, so flags after ``@file`` override it.  All
+outputs are plain CSV or fixed-format text, so reruns with the same inputs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .bath import DEFAULT_CORR_NORM, BathModel
+from .bath import BathModel
 from .fidelity import bath_infidelity, infidelity_freq
 from .leakage import perturbative_leakage_amplitude, propagate_even
 from .markovian import solve_markovian_profile
@@ -27,7 +29,7 @@ from .pulse import EnergyBudget, PulseCsvError, pulse_energy, read_pulse_csv, wr
 
 
 def _bath_from(args) -> BathModel:
-    return BathModel(gamma=args.gamma, t_c=args.t_c, corr_norm=args.corr_norm)
+    return BathModel(gamma=args.gamma, t_c=args.t_c)
 
 
 def _omega0_from(args) -> float:
@@ -43,8 +45,6 @@ def _fmt(x: float) -> str:
 def _add_model_flags(sp):
     sp.add_argument("--gamma", type=float, required=True, help="dephasing rate")
     sp.add_argument("--t-c", dest="t_c", type=float, default=0.0, help="bath memory time (0 = memoryless)")
-    sp.add_argument("--corr-norm", dest="corr_norm", type=float, default=DEFAULT_CORR_NORM,
-                    help="correlation kernel normalisation (default 0.5)")
     sp.add_argument("--omega0", type=float, default=0.0, help="qubit splitting (0 disables leakage)")
 
 
@@ -87,9 +87,10 @@ def _problem_opts(args) -> dict:
 def _add_problem_flags(sp):
     _add_model_flags(sp)
     sp.add_argument("--energy", type=float, required=True, help="control energy budget E")
-    sp.add_argument("--leak-weight", dest="leak_weight", type=float, default=0.5,
-                    help="leakage penalty weight (default 0.5)")
-    sp.add_argument("--grid-n", dest="grid_n", type=int, default=512, help="pulse grid segments (default 512)")
+    sp.add_argument("--leak-weight", dest="leak_weight", type=float, default=OptimizationProblem.leak_weight,
+                    help="leakage penalty weight (default %(default)s)")
+    sp.add_argument("--grid-n", dest="grid_n", type=int, default=OptimizationProblem.grid_n,
+                    help="pulse grid segments (default %(default)s)")
 
 
 def _check_writable(path: str) -> None:
@@ -124,6 +125,9 @@ def cmd_sweep(args) -> int:
     t_f_list = [float(x) for x in args.t_f_list.split(",") if x.strip()]
     if not t_f_list:
         raise ValueError("--t-f-list must name at least one final time")
+    # Each point's problem checks the inputs, so a rejected sweep makes no directory.
+    for t_f in t_f_list:
+        OptimizationProblem(bath=bath, budget=budget, t_f=t_f, **opts)
     os.makedirs(args.out_dir, exist_ok=True)
     records = sweep_final_time(bath, budget, t_f_list, opts)
     sweep_path = os.path.join(args.out_dir, "sweep.csv")
@@ -242,10 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_parser("oracle", help="Monte-Carlo check of the predicted infidelity")
     sp.add_argument("--pulse", required=True)
     _add_model_flags(sp)
-    sp.add_argument("--rwa", action=argparse.BooleanOptionalAction, default=True)
+    sp.add_argument("--rwa", action=argparse.BooleanOptionalAction, default=OracleConfig.rwa)
     sp.add_argument("--n-traj", dest="n_traj", type=int, default=10000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--dt", type=float, default=None)
+    sp.add_argument("--seed", type=int, default=OracleConfig.seed)
+    sp.add_argument("--dt", type=float, default=OracleConfig.dt)
     sp.set_defaults(func=cmd_oracle)
 
     return parser

@@ -27,7 +27,7 @@ production path, written once in :class:`_BathForm`: the quadratic form and
 its exact gradient in one pass, with both integrands as the two columns of
 one O(N) kernel product through the grid's kernel factor
 (:class:`xferopt.bath._ExpFactor`), or with the memoryless closed form of
-kernel area ``2 corr_norm gamma`` when ``t_c = 0``.  A form is a plan for
+kernel area ``gamma`` when ``t_c = 0``.  A form is a plan for
 one grid: it holds the trapezoid weights, the factor and its buffers, so
 the optimiser builds one per design problem and evaluates every step from
 it, while :func:`bath_value_grad`, which every time-domain entry point
@@ -90,7 +90,7 @@ class _BathForm:
     the trapezoid weights, the kernel factor (:class:`xferopt.bath._ExpFactor`)
     and the buffers of one evaluation, so repeated evaluations on one grid,
     as in the optimiser, pay no set-up.  At ``t_c = 0`` the kernel is
-    ``D delta(t - t')`` with the kernel area ``D = 2 corr_norm gamma``.
+    ``D delta(t - t')`` with the kernel area ``D = gamma``.
     """
 
     def __init__(self, b: BathModel, n_samples: int, dt: float):
@@ -100,7 +100,7 @@ class _BathForm:
         self.w = w
         if b.is_markovian:
             self.factor = None
-            self.area = 2.0 * b.corr_norm * b.gamma
+            self.area = b.gamma
             # The gradient's weight 2 D w, rounded as (D w) 2.
             self.w2 = self.area * w * 2.0
         else:
@@ -152,7 +152,7 @@ def bath_value_grad(phases, dt: float, b: BathModel):
 
     Evaluates the trapezoid quadratic form of the kernel (the memoryless
     integrand ``D [(2/3) cos^4 phi + (1/2) sin^2 2phi]`` with the kernel area
-    ``D = 2 corr_norm gamma`` when ``t_c = 0``) and differentiates it with
+    ``D = gamma`` when ``t_c = 0``) and differentiates it with
     ``d cos^2 phi / d phi = -sin 2phi`` and ``d sin 2phi / d phi = 2 cos 2phi``.
     Returns ``(value, grad)`` with one gradient entry per interior sample
     ``phi_1 .. phi_{N-1}``.  A one-off :class:`_BathForm` of the grid.
@@ -283,8 +283,8 @@ def infidelity_freq(p: Pulse, b: BathModel) -> float:
     geometrically towards 0 when the kernel spectrum's width ``1/t_c`` is
     narrower than a panel.
 
-    At ``t_c = 0`` the spectrum is flat, ``D / (2 pi)`` with ``D = 2 corr_norm
-    gamma``, and by Parseval the overlap is ``D sum_k w_k^2 x_k^2 / dt``
+    At ``t_c = 0`` the spectrum is flat, ``D / (2 pi)`` with ``D = gamma``,
+    and by Parseval the overlap is ``D sum_k w_k^2 x_k^2 / dt``
     (trapezoid weights ``w_k``), while the white kernel's form is
     ``D sum_k w_k x_k^2``.  At the half-weight endpoints ``w - w^2/dt = dt/4``,
     so ``D (dt/4) [(2/3) x1^2 + (1/2) x2^2]`` is added at ``t = 0`` and ``t_f``.
@@ -299,16 +299,16 @@ def infidelity_freq(p: Pulse, b: BathModel) -> float:
     if b.is_markovian:
         edges = np.linspace(0.0, omega_nyq, n_base + 1)
         nodes, weights = _gl_nodes(edges)
-        gvals = np.full(nodes.size, b.corr_norm * b.gamma / np.pi)
+        gvals = np.full(nodes.size, 0.5 * b.gamma / np.pi)
         x1, x2 = _integrands(p.phases[[0, -1]])
-        ends = 2.0 * b.corr_norm * b.gamma * dt / 4.0 * float(np.sum(X1_WEIGHT * x1 * x1 + X2_WEIGHT * x2 * x2))
+        ends = b.gamma * dt / 4.0 * float(np.sum(X1_WEIGHT * x1 * x1 + X2_WEIGHT * x2 * x2))
     else:
         r = dt / b.t_c
         edges = _peak_refined_edges(0.0, omega_nyq, 1.0 / b.t_c, n_base)
         nodes, weights = _gl_nodes(edges)
         # Alias-folded Lorentzian: sum_m G(w + 2 pi m / dt) = scale sinh r / (cosh r - cos(w dt)),
         # with numerator and denominator times 2 rho, rho = e^-r, so that no term overflows.
-        scale = b.corr_norm * b.gamma * dt / (2.0 * np.pi * b.t_c)
+        scale = 0.5 * b.gamma * dt / (2.0 * np.pi * b.t_c)
         denom = np.expm1(-r) ** 2 + 4.0 * np.exp(-r) * np.sin(nodes * dt / 2.0) ** 2
         gvals = scale * -np.expm1(-2.0 * r) / denom
 

@@ -11,7 +11,7 @@ excitation-conserving reading of the coupling (``rwa = True``) the even
 sector is not driven, ``Vtilde = 0``; otherwise ``Vtilde = V``.
 
 Each trajectory samples ``b`` per step (stationary Ornstein-Uhlenbeck for
-``t_c > 0``, white phase increments of variance ``2 corr_norm gamma dt`` for
+``t_c > 0``, white phase increments of variance ``gamma dt`` for
 ``t_c = 0``), propagates both sectors with exact per-step 2x2 rotations, and
 evaluates the transfer fidelity against the ideal map
 ``(a|g1> + b|e1>)|g2>  ->  |g1>(a|g2> - i b|e2>)``.  The free evolution of

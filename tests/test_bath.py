@@ -12,7 +12,7 @@ from xferopt.bath import kernel_product, sample_noise_block
 class TestCorrelation:
     def test_peak_value(self):
         b = xo.BathModel(gamma=0.4, t_c=2.0)
-        assert xo.correlation(b, 0.0) == pytest.approx(b.corr_norm * 0.4 / 2.0, rel=1e-15)
+        assert xo.correlation(b, 0.0) == pytest.approx(0.5 * 0.4 / 2.0, rel=1e-15)
 
     def test_symmetry(self):
         b = xo.BathModel(gamma=0.4, t_c=2.0)
@@ -20,11 +20,10 @@ class TestCorrelation:
         np.testing.assert_array_equal(xo.correlation(b, dts), xo.correlation(b, -dts))
 
     def test_total_weight_is_gamma(self):
-        # Integral of the kernel over the whole line equals 2 * corr_norm * gamma.
+        # Integral of the kernel (gamma / (2 t_c)) exp(-|t| / t_c) over the whole line.
         b = xo.BathModel(gamma=0.7, t_c=1.3)
         val, _ = quad(lambda t: xo.correlation(b, t), -80 * b.t_c, 80 * b.t_c, limit=400)
-        assert val == pytest.approx(2 * b.corr_norm * b.gamma, rel=1e-9)
-        assert val == pytest.approx(b.gamma, rel=1e-9)  # default corr_norm = 1/2
+        assert val == pytest.approx(b.gamma, rel=1e-9)
 
     def test_markovian_rejected(self):
         b = xo.BathModel(gamma=0.4, t_c=0.0)
@@ -98,7 +97,7 @@ class TestNoiseSampling:
         s = sample_noise_block(b, grid[1] - grid[0], grid.size, 123, 0, n_traj).T
         var_hat = np.mean(s * s, axis=1)
         lag_hat = np.mean(s[:, :-1] * s[:, 1:], axis=1)
-        sigma2 = b.corr_norm * b.gamma / b.t_c
+        sigma2 = 0.5 * b.gamma / b.t_c
         rho = np.exp(-(grid[1] - grid[0]) / b.t_c)
         se_var = var_hat.std(ddof=1) / np.sqrt(n_traj)
         se_lag = lag_hat.std(ddof=1) / np.sqrt(n_traj)
@@ -114,7 +113,7 @@ class TestNoiseSampling:
         rng = np.random.Generator(np.random.Philox(key=np.array([3, 11], dtype=np.uint64)))
         xi = rng.standard_normal(grid.size)
         rho = np.exp(-0.01 / b.t_c)
-        sigma = np.sqrt(b.corr_norm * b.gamma / b.t_c)
+        sigma = np.sqrt(0.5 * b.gamma / b.t_c)
         want = np.empty(grid.size)
         want[0] = sigma * xi[0]
         for k in range(1, grid.size):
@@ -149,7 +148,7 @@ class TestNoiseBlock:
         b = xo.BathModel(gamma=0.035, t_c=1.0)
         dt, m, seed = 0.01, 64, 3
         rho = np.exp(-dt / b.t_c)
-        sigma = np.sqrt(b.corr_norm * b.gamma / b.t_c)
+        sigma = np.sqrt(0.5 * b.gamma / b.t_c)
         innovation = sigma * np.sqrt(1.0 - rho * rho)
         narrow = bath._OU_ROWWISE_MIN_COUNT
         for count in (4, narrow - 1, narrow, 40):
@@ -169,7 +168,7 @@ class TestNoiseBlock:
         b = xo.BathModel(gamma=0.04, t_c=0.0)
         dt, m, seed, count = 0.01, 64, 3, 4
         block = sample_noise_block(b, dt, m, seed, first, count)
-        scale = np.sqrt(2.0 * b.corr_norm * b.gamma / dt)
+        scale = np.sqrt(b.gamma / dt)
         for j in range(count):
             assert np.array_equal(block[:, j], scale * self.fresh_normals(seed, first + j, m)), j
 
@@ -212,7 +211,7 @@ class TestNoiseBlock:
             assert block.shape == (m, count)
             for j in range(count):
                 if b.is_markovian:
-                    want = np.sqrt(2.0 * b.corr_norm * b.gamma / dt) * self.fresh_normals(seed, first + j, m)
+                    want = np.sqrt(b.gamma / dt) * self.fresh_normals(seed, first + j, m)
                 else:
                     want = xo.sample_noise_trajectory(b, grid, seed=seed, trajectory_index=first + j)
                 assert np.array_equal(block[:, j], want), (count, j)
@@ -273,6 +272,11 @@ def test_bath_validation():
         xo.BathModel(gamma=-0.1, t_c=1.0)
     with pytest.raises(ValueError):
         xo.BathModel(gamma=0.1, t_c=-1.0)
-    with pytest.raises(ValueError):
-        xo.BathModel(gamma=0.1, t_c=1.0, corr_norm=0.0)
     assert xo.BathModel(gamma=0.0, t_c=0.0).is_markovian
+
+
+def test_gamma_is_the_only_strength():
+    # The kernel has no separate normalisation: its area is gamma.
+    with pytest.raises(TypeError):
+        xo.BathModel(gamma=0.1, t_c=1.0, corr_norm=0.5)
+    assert not hasattr(xo, "DEFAULT_CORR_NORM")

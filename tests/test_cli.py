@@ -234,6 +234,28 @@ class TestSweep:
         assert sweep_csv[0] == "tf_over_tmin,tc_over_tmin,infidelity,energy,max_phi,converged,pulse_file"
         assert sweep_csv[1] == "2,0,nan,nan,nan,false,"
 
+    @pytest.mark.parametrize("flags", [["--t-f-list", "0.5,2"], ["--t-f-list", "2,nan"],
+                                       ["--t-f-list", "2", "--grid-n", "1"]],
+                             ids=["below t_min", "nan", "grid-n 1"])
+    def test_rejected_sweep_makes_no_directory(self, capsys, tmp_path, flags):
+        out_dir = tmp_path / "new" / "deep"
+        code, out, err = run(capsys, ["sweep", "--gamma", str(GAMMA), "--energy", str(ENERGY), *flags,
+                                      "--out-dir", str(out_dir)])
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_uncreatable_directory_rejected_before_any_design(self, capsys, tmp_path, monkeypatch):
+        def no_design(prob, include_leakage):
+            raise AssertionError("a design ran")
+
+        monkeypatch.setattr(xferopt.optimizer, "_optimize", no_design)
+        (tmp_path / "file").write_text("")
+        code, out, err = run(capsys, ["sweep", "--gamma", str(GAMMA), "--energy", str(ENERGY), "--t-f-list", "2",
+                                      "--out-dir", str(tmp_path / "file" / "out")])
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
 
 class TestMarkovianCmd:
     def test_prints_profile_energy(self, capsys, tmp_path):
@@ -339,17 +361,30 @@ class TestOracleCmd:
         assert err.startswith("error: oracle step grid too fine:") and "256 MiB" in err
 
 
-@pytest.mark.parametrize("command", [
+# The commands that take the bath flags, without --gamma.
+BATH_COMMANDS = [
     ["evaluate", "--pulse", "p.csv"],
     ["optimize", "--energy", str(ENERGY), "--t-f", "2", "--out", "p.csv"],
     ["sweep", "--energy", str(ENERGY), "--t-f-list", "2"],
     ["oracle", "--pulse", "p.csv"],
-], ids=lambda v: v[0])
+]
+
+
+@pytest.mark.parametrize("command", BATH_COMMANDS, ids=lambda v: v[0])
 def test_missing_gamma_is_a_usage_error(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main(command)
     assert exc.value.code == 2
     assert "the following arguments are required: --gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", BATH_COMMANDS, ids=lambda v: v[0])
+def test_kernel_normalisation_flag_rejected(capsys, command):
+    # gamma is the bath's only strength: the kernel is (gamma / (2 t_c)) exp(-|t| / t_c).
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--gamma", str(GAMMA), "--corr-norm", "1.0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --corr-norm 1.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])

@@ -81,14 +81,19 @@ class TestTimeFreqAgreement:
         expected = GAMMA * np.pi ** 2 / (8 * ENERGY)
         assert xo.infidelity_freq(p, b) == pytest.approx(expected, rel=1e-3)
 
-    @pytest.mark.parametrize("corr_norm", [0.5, 1.0, 3.0])
-    def test_memoryless_weight_is_the_kernel_area(self, budget, corr_norm):
-        # Both paths weigh the white kernel by its area 2 corr_norm gamma.
+    @pytest.mark.parametrize("t_c", [0.0, 0.5])
+    def test_doubling_gamma_doubles_both_paths(self, budget, t_c):
+        # gamma is the kernel's only strength, and a factor of 2 is exact:
+        # both paths double bit for bit, and they agree.
         p = xo.fastest_pulse(budget, 64)
-        b = xo.BathModel(gamma=0.04, t_c=0.0, corr_norm=corr_norm)
-        time_path = xo.bath_infidelity(p, b)
-        assert xo.infidelity_freq(p, b) == pytest.approx(time_path, rel=1e-9, abs=0.0)
-        assert time_path == pytest.approx(2.0 * corr_norm * xo.infidelity_markovian(p, 0.04), rel=1e-15)
+        b, b2 = xo.BathModel(gamma=0.04, t_c=t_c), xo.BathModel(gamma=0.08, t_c=t_c)
+        value, grad = bath_value_grad(p.phases, p.dt, b)
+        value2, grad2 = bath_value_grad(p.phases, p.dt, b2)
+        assert value2 == 2.0 * value
+        assert np.array_equal(grad2, 2.0 * grad)
+        freq = xo.infidelity_freq(p, b)
+        assert xo.infidelity_freq(p, b2) == 2.0 * freq
+        assert freq == pytest.approx(value, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("dt_over_tc", [349.0, 351.0, 1000.0])
     def test_folded_spectrum_at_short_memory(self, dt_over_tc):
@@ -276,7 +281,7 @@ class TestBathValueGrad:
         w = trap_weights(phases.size, dt)
         x1, x2 = np.cos(phases) ** 2, np.sin(2 * phases)
         if b.is_markovian:
-            k = 2.0 * b.corr_norm * b.gamma * np.diag(1.0 / w)
+            k = b.gamma * np.diag(1.0 / w)
         else:
             k = dense_kernel(b, phases.size, dt)
         r1, r2 = k @ (w * x1), k @ (w * x2)
