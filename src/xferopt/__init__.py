@@ -49,12 +49,10 @@ from .pulse import (
     EnergyBudget,
     Pulse,
     PulseCsvError,
-    control_amplitude,
     fastest_pulse,
     make_pulse,
     pulse_energy,
     read_pulse_csv,
-    scale_pulse,
     write_pulse_csv,
 )
 
@@ -72,7 +70,7 @@ __all__ = [
     "FidelityEstimate", "OracleConfig", "ShapeRatioReport", "shape_ratio_check", "simulate_transfer",
     "OptimizationProblem", "OptimizationResult", "SweepRecord", "optimize_rwa",
     "optimize_with_leakage", "sweep_final_time",
-    "HALF_PI", "EnergyBudget", "Pulse", "PulseCsvError", "control_amplitude", "fastest_pulse",
-    "make_pulse", "pulse_energy", "read_pulse_csv", "scale_pulse", "write_pulse_csv",
+    "HALF_PI", "EnergyBudget", "Pulse", "PulseCsvError", "fastest_pulse",
+    "make_pulse", "pulse_energy", "read_pulse_csv", "write_pulse_csv",
     "__version__",
 ]

@@ -36,6 +36,11 @@ from scipy.optimize import minimize
 
 from .pulse import Pulse, make_pulse, pulse_energy
 
+# Largest grid minimal_corrector_energy propagates: 64 segments per drive
+# period at about 170 bytes each, so 2**20 segments take about 180 MB.
+_MAX_CORRECTOR_SEGMENTS = 2 ** 20
+
+
 @dataclass(frozen=True)
 class EvenState:
     """Amplitudes of |g1 g2> and |e1 e2> after propagation."""
@@ -150,19 +155,6 @@ def _prefix_products(a: np.ndarray, b: np.ndarray):
     return alpha, beta
 
 
-def _propagate(v: np.ndarray, omega0: float, dt: float, initial, trajectory: bool):
-    """Amplitudes ``(gg, ee)`` after the last segment, or after every node."""
-    a, b = segment_rotation(v, omega0, dt)
-    alpha, beta = _prefix_products(a, b)
-    if trajectory:
-        alpha = np.concatenate(([1.0], alpha))
-        beta = np.concatenate(([0.0], beta))
-    else:
-        alpha, beta = alpha[-1], beta[-1]
-    g0, e0 = complex(initial[0]), complex(initial[1])
-    return alpha * g0 + beta * e0, np.conj(alpha) * e0 - np.conj(beta) * g0
-
-
 def propagate_even(p: Pulse, omega0: float, initial=(1.0 + 0.0j, 0.0j), return_trajectory: bool = False):
     """Exact piecewise propagation of the even-parity two-level system.
 
@@ -173,11 +165,17 @@ def propagate_even(p: Pulse, omega0: float, initial=(1.0 + 0.0j, 0.0j), return_t
     """
     if not 0.0 <= omega0 < np.inf:
         raise ValueError(f"omega0 must be finite and nonnegative, got {omega0}")
-    gg, ee = _propagate(p.amplitudes(), omega0, p.dt, initial, return_trajectory)
+    alpha, beta = _prefix_products(*segment_rotation(p.amplitudes(), omega0, p.dt))
+    if return_trajectory:
+        alpha = np.concatenate(([1.0], alpha))
+        beta = np.concatenate(([0.0], beta))
+    else:
+        alpha, beta = alpha[-1], beta[-1]
+    g0, e0 = complex(initial[0]), complex(initial[1])
+    gg, ee = alpha * g0 + beta * e0, np.conj(alpha) * e0 - np.conj(beta) * g0
     if not return_trajectory:
         return EvenState(amp_gg=complex(gg), amp_ee=complex(ee))
-    traj = np.stack((gg, ee), axis=1)
-    return EvenState(amp_gg=complex(gg[-1]), amp_ee=complex(ee[-1])), traj
+    return EvenState(amp_gg=complex(gg[-1]), amp_ee=complex(ee[-1])), np.stack((gg, ee), axis=1)
 
 
 def leakage_value_grad(phases, dt: float, omega0: float):
@@ -261,9 +259,11 @@ def minimal_corrector_energy(omega0: float, psi_ee: float, available_time: float
     drive is propagated exactly on 64 segments per drive period.  The
     available time must span at least one period ``pi / omega0``: below it
     the rotating-frame picture fails, and the search either leaves
-    population behind or lands on a zero that depends on its start.
+    population behind or lands on a zero that depends on its start.  Times
+    needing more than 2**20 segments are rejected before any work, and a
+    search that does not converge raises :class:`ArithmeticError`.
     Returns the drive energy, the optimum ``(A, chi)`` and the residual
-    population.
+    population, as floats.
     """
     if not (0.0 < psi_ee < 1.0):
         raise ValueError(f"psi_ee must lie in (0, 1), got {psi_ee}")
@@ -275,21 +275,22 @@ def minimal_corrector_energy(omega0: float, psi_ee: float, available_time: float
         raise ValueError(f"available_time must be at least one drive period pi/omega0 = {period}, "
                          f"got {available_time}")
     n = int(np.ceil(available_time / period)) * 64
-    dt = available_time / n
-    t = np.linspace(0.0, available_time, n + 1)
+    if n > _MAX_CORRECTOR_SEGMENTS:
+        raise ValueError(f"available_time = {available_time} needs {n} segments at 64 per drive period, "
+                         f"more than {_MAX_CORRECTOR_SEGMENTS}")
     init = (np.sqrt(1.0 - psi_ee ** 2), psi_ee)
 
     def residual(a, chi):
-        phases = a * (np.cos(chi) - np.cos(2.0 * omega0 * t + chi)) / (2.0 * omega0)
-        _, e = _propagate(np.diff(phases) / dt, omega0, dt, init, False)
-        return float(abs(e) ** 2)
+        pulse = sinusoidal_corrector_pulse(a, chi, omega0, available_time, n)
+        return propagate_even(pulse, omega0, initial=init).p_ee
 
     res = minimize(lambda z: residual(abs(z[0]), z[1]), x0=[2.0 * np.arcsin(psi_ee) / available_time, np.pi],
                    method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-16, "maxiter": 400})
-    a_opt, chi_opt = abs(res.x[0]), res.x[1]
-    pulse = sinusoidal_corrector_pulse(a_opt, chi_opt, omega0, available_time, n)
+    if not res.success:
+        raise ArithmeticError(f"corrector search failed: {res.message}")
+    a_opt, chi_opt = float(abs(res.x[0])), float(res.x[1])
     return {
-        "energy": pulse_energy(pulse),
+        "energy": pulse_energy(sinusoidal_corrector_pulse(a_opt, chi_opt, omega0, available_time, n)),
         "amplitude": a_opt,
         "chi": chi_opt % (2.0 * np.pi),
         "residual_population": residual(a_opt, chi_opt),

@@ -221,15 +221,15 @@ def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) 
     for i0 in range(0, cfg.n_traj, chunk):
         count = min(chunk, cfg.n_traj - i0)
         f[i0 : i0 + count] = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, i0, count, noise_buffer[:, :count])
-    fsum = float(np.sum(f))
-    f *= f
-    fsq = float(np.sum(f))
-    mean = fsum / cfg.n_traj
+    mean = float(np.sum(f)) / cfg.n_traj
+    stderr = 0.0
     if cfg.n_traj > 1:
-        var = max((fsq - cfg.n_traj * mean * mean) / (cfg.n_traj - 1), 0.0)
+        # Two passes: squares of the deviations, not sum f^2 - n mean^2,
+        # which is pure rounding when every f lies within ~1e-8 of 1.
+        f -= mean
+        f *= f
+        var = float(np.sum(f)) / (cfg.n_traj - 1)
         stderr = float(np.sqrt(var / cfg.n_traj))
-    else:
-        stderr = 0.0
     return FidelityEstimate(mean=mean, stderr=stderr, n_traj=cfg.n_traj)
 
 

@@ -16,8 +16,6 @@ import numpy as np
 
 HALF_PI = np.pi / 2.0
 
-TRANSFER_PHASE_TOL = 1e-12
-
 
 class PulseCsvError(ValueError):
     """Malformed pulse CSV file; message carries a 1-based line number."""
@@ -90,16 +88,6 @@ class Pulse:
         """Piecewise-constant amplitude ``V_k`` on each of the N segments."""
         return np.diff(self.phases) / self.dt
 
-    def phase_at(self, t):
-        """Linearly interpolated phase at time(s) ``t`` in ``[0, t_f]``."""
-        t = np.asarray(t, dtype=float)
-        if not np.all((0.0 <= t) & (t <= self.t_f)):
-            raise ValueError(f"t outside [0, {self.t_f}]")
-        return np.interp(t, self.times, self.phases)
-
-    def is_transfer_complete(self, tol: float = TRANSFER_PHASE_TOL) -> bool:
-        return abs(self.phases[-1] - HALF_PI) <= tol
-
 
 def make_pulse(phases, t_f: float) -> Pulse:
     """Validate and wrap phase samples into a :class:`Pulse`.
@@ -126,40 +114,13 @@ def fastest_pulse(budget, n: int = 512) -> Pulse:
     budget = _as_budget(budget)
     if n < 2:
         raise ValueError(f"grid size must be at least 2 segments, got {n}")
-    phases = np.linspace(0.0, HALF_PI, n + 1)
-    phases[0] = 0.0
-    phases[-1] = HALF_PI
-    return Pulse(t_f=budget.t_min, phases=phases)
+    return Pulse(t_f=budget.t_min, phases=np.linspace(0.0, HALF_PI, n + 1))
 
 
 def pulse_energy(p: Pulse) -> float:
     """Control energy ``sum (dphi_k)^2 / dt``, exact for piecewise-linear phases."""
     dphi = np.diff(p.phases)
     return float(np.sum(dphi * dphi) / p.dt)
-
-
-def control_amplitude(p: Pulse, t):
-    """Amplitude ``V(t) = dphi/dt`` of the segment containing ``t``.
-
-    Right-continuous at segment boundaries; at ``t = t_f`` the value of the
-    last segment is returned.  Raises for ``t`` outside ``[0, t_f]``.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all((0.0 <= t_arr) & (t_arr <= p.t_f)):
-        raise ValueError(f"t outside [0, {p.t_f}]")
-    idx = np.minimum((t_arr / p.dt).astype(int), p.n_segments - 1)
-    out = p.amplitudes()[idx]
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-
-def scale_pulse(p: Pulse, a: float) -> Pulse:
-    """Time-rescaled pulse ``phi'(t) = phi(a t)``: same samples, ``t_f / a``.
-
-    Compressing time (``a > 1``) multiplies the energy by ``a``.
-    """
-    if not np.isfinite(a) or a <= 0.0:
-        raise ValueError(f"scale factor must be positive, got {a}")
-    return Pulse(t_f=p.t_f / a, phases=p.phases.copy())
 
 
 def _node_amplitudes(p: Pulse) -> np.ndarray:

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import OptimizeResult
 
 import xferopt as xo
 from conftest import ENERGY, check_directional_derivative, random_pulse
+from xferopt import leakage
 from xferopt.leakage import leakage_value_grad, segment_rotation
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -364,6 +366,25 @@ class TestCorrector:
     def test_shorter_than_one_drive_period_rejected(self, omega0, t_avail):
         with pytest.raises(ValueError, match="available_time"):
             xo.minimal_corrector_energy(omega0, 0.3, t_avail)
+
+    @pytest.mark.parametrize("omega0, t_avail", [(np.pi, 1e9), (1.0, 16384.5 * np.pi)])
+    def test_oversized_grid_rejected_before_the_search(self, monkeypatch, omega0, t_avail):
+        # 64 segments per drive period: 6.4e10 segments, and 64 * 16385, one
+        # period past the 2**20 limit.
+        monkeypatch.setattr(leakage, "minimize", lambda *args, **kwargs: pytest.fail("searched"))
+        with pytest.raises(ValueError, match="available_time"):
+            xo.minimal_corrector_energy(omega0, 0.3, t_avail)
+
+    def test_failed_search_raises_with_its_message(self, monkeypatch):
+        message = "Maximum number of iterations has been exceeded."
+        failed = OptimizeResult(x=np.array([0.1, np.pi]), success=False, message=message)
+        monkeypatch.setattr(leakage, "minimize", lambda *args, **kwargs: failed)
+        with pytest.raises(ArithmeticError, match=message):
+            xo.minimal_corrector_energy(np.pi, 0.3, 4.0)
+
+    def test_returns_python_floats(self):
+        out = xo.minimal_corrector_energy(np.pi, 0.3, 4.0)
+        assert {k: type(v) for k, v in out.items()} == dict.fromkeys(out, float)
 
     def test_minimal_energy_study(self):
         # Over a small time ladder at the fastest pulse's residual, each

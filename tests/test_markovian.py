@@ -116,7 +116,7 @@ class TestOptimalPulse:
 
     def test_transfer_complete(self, budget):
         p = xo.optimal_markovian_pulse(budget, 128)
-        assert p.is_transfer_complete()
+        assert p.phases[-1] == xo.HALF_PI
 
     def test_scaling_law_product_invariant(self, budget):
         # phi_M(a t) has energy a e_M and infidelity (gamma/a) e_M: the
@@ -124,7 +124,7 @@ class TestOptimalPulse:
         base = xo.optimal_markovian_pulse(budget, 400)
         products = []
         for a in (0.5, 1.0, 2.0):
-            pa = xo.scale_pulse(base, a)
+            pa = xo.make_pulse(base.phases, base.t_f / a)
             products.append(xo.pulse_energy(pa) * xo.infidelity_markovian(pa, 1.0))
         assert max(products) - min(products) <= 1e-6 * min(products)
 

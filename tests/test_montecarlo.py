@@ -192,6 +192,26 @@ class TestAgainstPrediction:
         assert slope == pytest.approx(-0.5, abs=0.05)
 
 
+class TestStandardError:
+    @pytest.mark.parametrize("gamma", [1e-8, 1e-6])
+    @pytest.mark.parametrize("t_c", [0.0, 1.0])
+    def test_matches_two_pass_std_on_quiet_baths(self, budget, monkeypatch, gamma, t_c):
+        # Every f lies within ~1e-8 of 1, where sum f^2 - n mean^2 is
+        # rounding alone.
+        p = xo.fastest_pulse(budget, 64)
+        cfg = xo.OracleConfig(n_traj=4096, seed=1)
+        chunks = []
+
+        def recording(*args):
+            chunks.append(_chunk_fidelities(*args))
+            return chunks[-1]
+
+        monkeypatch.setattr(montecarlo, "_chunk_fidelities", recording)
+        est = xo.simulate_transfer(p, xo.BathModel(gamma=gamma, t_c=t_c), 0.0, cfg)
+        f = np.concatenate(chunks)
+        assert est.stderr == pytest.approx(np.std(f, ddof=1) / np.sqrt(f.size), rel=1e-6)
+
+
 class TestShapeRatio:
     def test_identical_pulses_identical_ratios(self, budget):
         p = xo.fastest_pulse(budget, 128)
