@@ -29,13 +29,7 @@ from .markovian import (
     optimal_markovian_pulse,
     solve_markovian_profile,
 )
-from .montecarlo import (
-    FidelityEstimate,
-    OracleConfig,
-    ShapeRatioReport,
-    shape_ratio_check,
-    simulate_transfer,
-)
+from .montecarlo import FidelityEstimate, OracleConfig, simulate_transfer
 from .optimizer import (
     OptimizationProblem,
     OptimizationResult,
@@ -67,7 +61,7 @@ __all__ = [
     "sinusoidal_corrector_pulse",
     "MarkovianProfile", "markovian_optimum_infidelity", "optimal_markovian_pulse",
     "solve_markovian_profile",
-    "FidelityEstimate", "OracleConfig", "ShapeRatioReport", "shape_ratio_check", "simulate_transfer",
+    "FidelityEstimate", "OracleConfig", "simulate_transfer",
     "OptimizationProblem", "OptimizationResult", "SweepRecord", "optimize_rwa",
     "optimize_with_leakage", "sweep_final_time",
     "HALF_PI", "EnergyBudget", "Pulse", "PulseCsvError", "fastest_pulse",

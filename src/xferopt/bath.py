@@ -30,13 +30,16 @@ stationary Ornstein-Uhlenbeck samples obey the same recursion,
 ``b = L^{-1} d`` with ``d_0 = sigma xi_0`` and
 ``d_k = sigma sqrt(1 - rho^2) xi_k``: the oracle's time-major
 ``(steps, trajectories)`` noise block runs it one row at a time, across all
-trajectories at once (a narrow block, one column at a time).
+trajectories at once, whatever the block's width.
+
+A grid resolves the memory when its step is at most ``t_c / 10``
+(:attr:`BathModel.max_step`); on a coarser grid the trapezoid form
+misweights the kernel's peak, so the second-order infidelity is wrong.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
@@ -44,11 +47,6 @@ from scipy.linalg.lapack import dtbtrs
 # Byte budget of sample_noise_block's trajectory-major scratch tile: 256
 # trajectories at 512 steps, one at least.
 _NOISE_TILE_BYTES = 1 << 20
-# Narrowest block whose OU recursion runs row by row; narrower blocks run it
-# down each column in Python floats.  A row costs two numpy calls whatever
-# its width, a column about 0.15 us per step: they break even at 12-16
-# columns, measured at 512 and 4096 steps.
-_OU_ROWWISE_MIN_COUNT = 12
 
 
 @dataclass(frozen=True)
@@ -67,6 +65,11 @@ class BathModel:
     @property
     def is_markovian(self) -> bool:
         return self.t_c == 0.0
+
+    @property
+    def max_step(self) -> float:
+        """Largest grid step that resolves the memory: ``t_c / 10``, unbounded at ``t_c = 0``."""
+        return self.t_c / 10.0 if self.t_c > 0.0 else np.inf
 
 
 def correlation(b: BathModel, dt):
@@ -169,10 +172,10 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
     trajectory-major scratch, one bit generator re-keyed per row
     (constructing one costs more than drawing its normals), and scaled
     straight into their columns.  The OU recursion ``x_k = d_k + rho x_{k-1}``
-    then runs in place, row by row over the whole block, or down each column
-    in Python floats when the block is narrow; either way the product and
-    the sum are each rounded, so each column's result does not depend on the
-    others or on the block's width.  ``out``, an ``(m, count)`` array
+    then runs in place, row by row over the whole block (two numpy calls a
+    step, whatever the width); the product and the sum are each rounded, so
+    each column's result does not depend on the others or on the block's
+    width.  ``out``, an ``(m, count)`` array
     whose contents are overwritten (leading columns of a wider buffer will
     do), lets a caller reuse one buffer across blocks; it is returned.
     """
@@ -208,14 +211,10 @@ def sample_noise_block(b: BathModel, dt: float, m: int, seed: int, first: int, c
         np.multiply(xi.T, scale, out=out[:, j0 : j0 + len(xi)])
     if not b.is_markovian:
         rho = float(factor.rho)
-        if count < _OU_ROWWISE_MIN_COUNT:
-            for j in range(count):
-                out[:, j] = list(accumulate(out[:, j].tolist(), lambda x, d: d + rho * x))
-        else:
-            carry = np.empty(count)
-            for k in range(1, m):
-                np.multiply(out[k - 1], rho, out=carry)
-                out[k] += carry
+        carry = np.empty(count)
+        for k in range(1, m):
+            np.multiply(out[k - 1], rho, out=carry)
+            out[k] += carry
     return out
 
 
@@ -237,6 +236,6 @@ def sample_noise_trajectory(b: BathModel, grid, seed: int, trajectory_index: int
         raise ValueError("trajectory sampling undefined at t_c = 0; sample white phase increments instead")
     grid = np.asarray(grid, dtype=float)
     dt = _check_uniform_grid(grid)
-    if dt > b.t_c / 10.0:
-        raise ValueError(f"grid too coarse: dt = {dt} exceeds t_c/10 = {b.t_c / 10.0}")
+    if dt > b.max_step:
+        raise ValueError(f"grid too coarse: dt = {dt} exceeds t_c/10 = {b.max_step}")
     return sample_noise_block(b, dt, grid.size, seed, trajectory_index, 1)[:, 0]

@@ -6,7 +6,9 @@ flag reads it from the dataclass.  An argument ``@file`` stands for the
 lines of ``file``, one argument per line (``--gamma=0.02``); where a flag is
 given twice the last value wins, so flags after ``@file`` override it.  All
 outputs are plain CSV or fixed-format text, so reruns with the same inputs
-are byte-identical.
+are byte-identical.  The commands that score a pulse against a bath with
+memory (evaluate, optimize, sweep, oracle) reject a grid step above
+``t_c / 10``, where the second-order infidelity is wrong.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ def _bath_from(args) -> BathModel:
     return BathModel(gamma=args.gamma, t_c=args.t_c)
 
 
+def _check_resolved(bath: BathModel, dt: float) -> None:
+    """Reject a grid step above ``t_c / 10``, where the second-order infidelity is wrong."""
+    if dt > bath.max_step:
+        raise ValueError(f"grid step {dt} exceeds t_c/10 = {bath.max_step}: "
+                         "the pulse grid does not resolve the bath memory")
+
+
 def _omega0_from(args) -> float:
     if not 0.0 <= args.omega0 < np.inf:
         raise ValueError(f"--omega0 must be finite and nonnegative, got {args.omega0}")
@@ -51,6 +60,7 @@ def _add_model_flags(sp):
 def cmd_evaluate(args) -> int:
     pulse = read_pulse_csv(args.pulse)
     bath = _bath_from(args)
+    _check_resolved(bath, pulse.dt)
     omega0 = _omega0_from(args)
     used = pulse_energy(pulse)
     budget = EnergyBudget(args.energy if args.energy is not None else used)
@@ -102,6 +112,7 @@ def _check_writable(path: str) -> None:
 def cmd_optimize(args) -> int:
     prob = OptimizationProblem(bath=_bath_from(args), budget=EnergyBudget(args.energy), t_f=args.t_f,
                                **_problem_opts(args))
+    _check_resolved(prob.bath, prob.t_f / prob.grid_n)
     _check_writable(args.out)
     res = optimize_with_leakage(prob) if prob.omega0 > 0.0 else optimize_rwa(prob)
     write_pulse_csv(res.pulse, args.out)
@@ -127,7 +138,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("--t-f-list must name at least one final time")
     # Each point's problem checks the inputs, so a rejected sweep makes no directory.
     for t_f in t_f_list:
-        OptimizationProblem(bath=bath, budget=budget, t_f=t_f, **opts)
+        prob = OptimizationProblem(bath=bath, budget=budget, t_f=t_f, **opts)
+        _check_resolved(bath, prob.t_f / prob.grid_n)
     os.makedirs(args.out_dir, exist_ok=True)
     records = sweep_final_time(bath, budget, t_f_list, opts)
     sweep_path = os.path.join(args.out_dir, "sweep.csv")
@@ -192,6 +204,7 @@ def cmd_leakage(args) -> int:
 def cmd_oracle(args) -> int:
     pulse = read_pulse_csv(args.pulse)
     bath = _bath_from(args)
+    _check_resolved(bath, pulse.dt)
     omega0 = _omega0_from(args)
     ocfg = OracleConfig(n_traj=args.n_traj, seed=args.seed, dt=args.dt, rwa=args.rwa)
     est = simulate_transfer(pulse, bath, omega0, ocfg)

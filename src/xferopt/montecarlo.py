@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathModel, sample_noise_block
-from .fidelity import bath_infidelity
 from .leakage import segment_rotation
 from .pulse import Pulse
 
@@ -56,6 +55,9 @@ NORM_TOL = 1e-8
 # 512 steps needs 8 MiB.
 _CHUNK_TRAJ = 2048
 _NOISE_BLOCK_BYTES = 1 << 28
+# Most trajectories a run takes: their fidelities (8 bytes each) fill the
+# noise-block limit.
+_MAX_TRAJ = _NOISE_BLOCK_BYTES // 8
 # Steps advanced per segment_rotation call.
 _BLOCK_STEPS = 8
 
@@ -64,8 +66,9 @@ _BLOCK_STEPS = 8
 class OracleConfig:
     """Monte-Carlo run parameters.
 
-    ``dt = None`` picks half the largest admissible step, which is bounded by
-    ``t_c / 10`` (colored noise), ``0.01 / omega0`` (splitting resolution of
+    ``n_traj`` is at most ``2**25``.  ``dt = None`` picks half the largest
+    admissible step, which is bounded by ``t_c / 10`` (colored noise,
+    :attr:`BathModel.max_step`), ``0.01 / omega0`` (splitting resolution of
     a driven even sector, ``rwa = False``) and the pulse grid spacing.
     """
 
@@ -75,8 +78,8 @@ class OracleConfig:
     rwa: bool = True
 
     def __post_init__(self):
-        if self.n_traj < 1:
-            raise ValueError("n_traj must be at least 1")
+        if not 1 <= self.n_traj <= _MAX_TRAJ:
+            raise ValueError(f"n_traj must lie in [1, {_MAX_TRAJ}], got {self.n_traj}")
         # Philox keys take the seed as one 64-bit word.
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
@@ -92,9 +95,7 @@ class FidelityEstimate:
 
 
 def _resolve_steps(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig):
-    bound = p.dt
-    if b.t_c > 0.0:
-        bound = min(bound, b.t_c / 10.0)
+    bound = min(p.dt, b.max_step)
     if omega0 > 0.0 and not cfg.rwa:
         bound = min(bound, 0.01 / omega0)
     target = cfg.dt if cfg.dt is not None else 0.5 * bound
@@ -232,39 +233,3 @@ def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) 
         stderr = float(np.sqrt(var / cfg.n_traj))
     return FidelityEstimate(mean=mean, stderr=stderr, n_traj=cfg.n_traj)
 
-
-@dataclass(frozen=True)
-class ShapeRatioReport:
-    """Measured-to-predicted infidelity ratios for a set of pulse shapes.
-
-    The spread separates shape-dependent disagreement from any global
-    normalisation constant shared by all shapes.
-    """
-
-    estimates: tuple
-    predicted: tuple
-    ratios: tuple
-
-    @property
-    def spread(self) -> float:
-        lo, hi = min(self.ratios), max(self.ratios)
-        return hi / lo - 1.0
-
-
-def shape_ratio_check(pulses, b: BathModel, omega0: float, cfg: OracleConfig) -> ShapeRatioReport:
-    """Ratio (1 - mean) / predicted for each pulse, plus the spread.
-
-    All pulses must be in the weak-coupling regime (predicted infidelity at
-    most 0.05) so the second-order prediction is meaningful, and every
-    prediction must be positive so the ratio is defined (a noiseless bath
-    predicts 0).
-    """
-    pulses = list(pulses)
-    if len(pulses) < 2:
-        raise ValueError("need at least 2 pulses to compare shapes")
-    predicted = [bath_infidelity(p, b) for p in pulses]
-    if not all(0.0 < pred <= 0.05 for pred in predicted):
-        raise ValueError(f"shape comparison requires predicted infidelity in (0, 0.05] for every pulse, got {predicted}")
-    estimates = [simulate_transfer(p, b, omega0, cfg) for p in pulses]
-    ratios = [(1.0 - est.mean) / pred for est, pred in zip(estimates, predicted)]
-    return ShapeRatioReport(estimates=tuple(estimates), predicted=tuple(predicted), ratios=tuple(ratios))

@@ -72,7 +72,10 @@ class OptimizationProblem:
     """One constrained pulse-design problem.
 
     ``omega0 = 0`` disables the leakage term.  Every design spends exactly
-    the budget's energy and runs from the same start templates.
+    the budget's energy and runs from the same start templates.  The design
+    is meaningful only when the grid step ``t_f / grid_n`` resolves the
+    memory, at most ``t_c / 10`` (:attr:`BathModel.max_step`); a coarser
+    grid is not rejected, but its bath term is wrong.
     """
 
     bath: BathModel

@@ -1,6 +1,6 @@
 """Control phase profiles on uniform time grids.
 
-A :class:`Pulse` stores the accumulated control phase ``phi(t)`` sampled on a
+A :class:`Pulse` stores the cumulative control phase ``phi(t)`` sampled on a
 uniform grid covering ``[0, t_f]``.  Between samples ``phi`` is piecewise
 linear, so the coupling amplitude ``V(t) = dphi/dt`` is piecewise constant and
 the control energy ``integral V(t)^2 dt`` is evaluated exactly by the sample

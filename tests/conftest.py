@@ -74,6 +74,15 @@ def random_pulse(rng, n, t_f, complete=False, scale=0.1):
     return xo.make_pulse(phases, t_f)
 
 
+def overshoot_pulse(n):
+    """Piecewise-linear phase over t_f = 10: up to pi/2 + 0.3 at t = 4, back to pi/2."""
+    t = np.linspace(0.0, 10.0, n + 1)
+    peak, t_peak = np.pi / 2 + 0.3, 4.0
+    phases = np.where(t <= t_peak, peak * t / t_peak, peak + (np.pi / 2 - peak) * (t - t_peak) / (10.0 - t_peak))
+    phases[0], phases[-1] = 0.0, np.pi / 2
+    return xo.make_pulse(phases, 10.0)
+
+
 def check_directional_derivative(value_grad, phases, rng, atol, h=1e-5, rtol=1e-6):
     """Exact gradient against a central difference along a random direction.
 

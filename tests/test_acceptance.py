@@ -11,7 +11,7 @@ import pytest
 from scipy.signal import savgol_filter
 
 import xferopt as xo
-from conftest import ENERGY, GAMMA, random_pulse
+from conftest import ENERGY, GAMMA, overshoot_pulse, random_pulse
 
 
 @contextlib.contextmanager
@@ -147,24 +147,28 @@ def test_criterion_10_oracle_equivalence(budget):
                        "<= 15% shape spread, quadratic coupling growth)"):
         # three pulse shapes under one finite-memory bath, weak coupling
         bath = xo.BathModel(gamma=0.035, t_c=1.0)
-        t = np.linspace(0.0, 10.0, 257)
-        peak, t_peak = np.pi / 2 + 0.3, 4.0
-        overshoot = np.where(t <= t_peak, peak * t / t_peak,
-                             peak + (np.pi / 2 - peak) * (t - t_peak) / (10.0 - t_peak))
-        overshoot[0], overshoot[-1] = 0.0, np.pi / 2
         pulses = [
             xo.fastest_pulse(budget, 256),
             xo.optimal_markovian_pulse(budget, 256),
-            xo.make_pulse(overshoot, 10.0),
+            overshoot_pulse(256),
         ]
         cfg = xo.OracleConfig(n_traj=100_000, seed=42)
-        report = xo.shape_ratio_check(pulses, bath, 0.0, cfg)
-        for est, pred in zip(report.estimates, report.predicted):
+        predicted = [xo.bath_infidelity(p, bath) for p in pulses]
+        # weak coupling, where the second-order prediction holds, and every
+        # ratio defined
+        assert all(0.0 < pred <= 0.05 for pred in predicted), predicted
+        ratios = []
+        for p, pred in zip(pulses, predicted):
+            est = xo.simulate_transfer(p, bath, 0.0, cfg)
             measured = 1.0 - est.mean
             assert abs(measured - pred) <= max(3 * est.stderr, 0.1 * pred), (
                 f"measured {measured:.4e} vs predicted {pred:.4e}"
             )
-        assert report.spread <= 0.15, f"shape-ratio spread {report.spread:.3f}"
+            ratios.append(measured / pred)
+        # measured / predicted across shapes: a shared normalisation error
+        # cancels, a shape-dependent one shows
+        spread = max(ratios) / min(ratios) - 1.0
+        assert spread <= 0.15, f"shape-ratio spread {spread:.3f}"
 
         # discrepancy grows at least quadratically under gamma -> 2g -> 4g
         p = xo.fastest_pulse(budget, 256)

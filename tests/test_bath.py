@@ -143,15 +143,13 @@ class TestNoiseBlock:
 
     @pytest.mark.parametrize("first", [0, 5])
     def test_ou_columns_bitwise(self, first):
-        # Widths on both sides of the one where the recursion switches from
-        # running down each column to running row by row.
+        # Narrow and wide blocks: the row-by-row recursion serves every width.
         b = xo.BathModel(gamma=0.035, t_c=1.0)
         dt, m, seed = 0.01, 64, 3
         rho = np.exp(-dt / b.t_c)
         sigma = np.sqrt(0.5 * b.gamma / b.t_c)
         innovation = sigma * np.sqrt(1.0 - rho * rho)
-        narrow = bath._OU_ROWWISE_MIN_COUNT
-        for count in (4, narrow - 1, narrow, 40):
+        for count in (4, 11, 12, 40):
             block = sample_noise_block(b, dt, m, seed, first, count)
             assert block.shape == (m, count)
             for j in range(count):
@@ -197,16 +195,14 @@ class TestNoiseBlock:
         xo.BathModel(gamma=0.035, t_c=1.0), xo.BathModel(gamma=0.04, t_c=0.0), xo.BathModel(gamma=0.0, t_c=1.0),
     ])
     def test_columns_across_tile_edges(self, b):
-        # Counts on both sides of the 256-trajectory sampling tile of 512
-        # steps, and of the width below which the OU recursion runs down each
-        # column.  Each column is its trajectory alone: sample_noise_trajectory
-        # (a block of one column), or for white noise the scaled fresh normals.
+        # Narrow counts, and counts on both sides of the 256-trajectory
+        # sampling tile of 512 steps.  Each column is its trajectory alone:
+        # sample_noise_trajectory (a block of one column), or for white noise
+        # the scaled fresh normals.
         dt, m, seed, first = 0.01, 512, 5, 3
-        tile = bath._NOISE_TILE_BYTES // (8 * m)
-        narrow = bath._OU_ROWWISE_MIN_COUNT
-        assert tile == 256
+        assert bath._NOISE_TILE_BYTES // (8 * m) == 256
         grid = np.arange(m) * dt
-        for count in (1, narrow - 1, narrow, tile - 1, tile, tile + 1, 2 * tile + 1):
+        for count in (1, 11, 12, 255, 256, 257, 513):
             block = sample_noise_block(b, dt, m, seed, first, count)
             assert block.shape == (m, count)
             for j in range(count):

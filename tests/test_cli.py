@@ -235,8 +235,9 @@ class TestSweep:
         assert sweep_csv[1] == "2,0,nan,nan,nan,false,"
 
     @pytest.mark.parametrize("flags", [["--t-f-list", "0.5,2"], ["--t-f-list", "2,nan"],
-                                       ["--t-f-list", "2", "--grid-n", "1"]],
-                             ids=["below t_min", "nan", "grid-n 1"])
+                                       ["--t-f-list", "2", "--grid-n", "1"],
+                                       ["--t-f-list", "2,4", "--grid-n", "32", "--t-c", "0.625"]],
+                             ids=["below t_min", "nan", "grid-n 1", "second point unresolved"])
     def test_rejected_sweep_makes_no_directory(self, capsys, tmp_path, flags):
         out_dir = tmp_path / "new" / "deep"
         code, out, err = run(capsys, ["sweep", "--gamma", str(GAMMA), "--energy", str(ENERGY), *flags,
@@ -299,6 +300,42 @@ def test_non_finite_input_rejected_before_any_work(capsys, tmp_path, fast_pulse_
     assert list(out_dir.iterdir()) == []
 
 
+def grid_command(command, pulse_file, out_dir):
+    """A command that scores a grid against the bath, and its grid step.
+
+    The pulse file has 256 segments over t_f = 1; the designs have 32 over
+    t_f = 2.
+    """
+    design = ["--gamma", str(GAMMA), "--energy", str(ENERGY), "--grid-n", "32"]
+    return {
+        "evaluate": (1 / 256, ["evaluate", "--pulse", pulse_file, "--gamma", str(GAMMA)]),
+        "oracle": (1 / 256, ["oracle", "--pulse", pulse_file, "--gamma", str(GAMMA), "--n-traj", "4"]),
+        "optimize": (2 / 32, ["optimize", *design, "--t-f", "2", "--out", str(out_dir / "p.csv")]),
+        "sweep": (2 / 32, ["sweep", *design, "--t-f-list", "2", "--out-dir", str(out_dir / "sweep")]),
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "oracle", "optimize", "sweep"])
+def test_unresolved_memory_rejected_before_any_work(capsys, tmp_path, fast_pulse_file, command):
+    # At t_c = dt the second-order infidelity on the grid is about 8% high.
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    dt, argv = grid_command(command, fast_pulse_file, out_dir)
+    code, out, err = run(capsys, [*argv, "--t-c", repr(dt)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: grid step {dt} exceeds t_c/10")
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["evaluate", "oracle", "optimize", "sweep"])
+def test_resolved_memory_runs(capsys, tmp_path, fast_pulse_file, command):
+    dt, argv = grid_command(command, fast_pulse_file, tmp_path)
+    code, out, _ = run(capsys, [*argv, "--t-c", repr(10 * dt)])
+    assert code == 0
+    assert out != ""
+
+
 class TestLeakageCmd:
     def test_reports_population(self, capsys, fast_pulse_file, tmp_path):
         traj = tmp_path / "traj.csv"
@@ -341,16 +378,27 @@ class TestOracleCmd:
         assert line.split("=")[0] in out.err
 
     def test_long_pulse_at_short_memory_runs_in_smaller_chunks(self, capsys, tmp_path, monkeypatch):
-        # 512 segments over t_f = 12 at t_c = 0.01 take 24064 steps.  A limit
-        # admitting 2 trajectories' noise stands in for the 256 MiB one, which
-        # at that step count admits 1394 of the default 10000 trajectories.
+        # 12032 segments over t_f = 12 (dt = 9.97e-4, within t_c/10) at
+        # t_c = 0.01 take 24064 steps.  A limit admitting 2 trajectories'
+        # noise stands in for the 256 MiB one, which at that step count
+        # admits 1394 of the default 10000 trajectories.
         path = tmp_path / "ramp.csv"
-        xo.write_pulse_csv(xo.make_pulse(np.linspace(0.0, np.pi / 2, 513), 12.0), path)
+        xo.write_pulse_csv(xo.make_pulse(np.linspace(0.0, np.pi / 2, 12033), 12.0), path)
         monkeypatch.setattr(xferopt.montecarlo, "_NOISE_BLOCK_BYTES", 8 * 24064 * 2)
         code, out, _ = run(capsys, ["oracle", "--pulse", str(path), "--gamma", "0.04", "--t-c", "0.01",
                                     "--n-traj", "3"])
         assert code == 0
         assert "n_traj = 3" in out
+
+    def test_huge_trajectory_count_rejected(self, capsys, fast_pulse_file):
+        # Rejected by OracleConfig before the (n_traj,) fidelity array, 745 GiB
+        # here, is allocated.
+        code, out, err = run(capsys, [
+            "oracle", "--pulse", fast_pulse_file, "--gamma", "0.04", "--n-traj", "100000000000",
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n_traj must lie in [1, 33554432]")
 
     def test_oversized_step_grid_rejected(self, capsys, fast_pulse_file):
         code, out, err = run(capsys, [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import xferopt as xo
 from xferopt import fidelity
 from xferopt.fidelity import bath_value_grad
-from conftest import ENERGY, GAMMA, check_directional_derivative, random_pulse
+from conftest import ENERGY, GAMMA, check_directional_derivative, overshoot_pulse, random_pulse
 
 
 class TestModulationSpectrum:
@@ -215,6 +215,22 @@ class TestTimeDomain:
             phases[0] = 0.0
             vals.append(xo.infidelity_time(xo.make_pulse(phases, 3.0), b))
         assert vals[1] == pytest.approx(vals[0], rel=1e-3)
+
+
+    @pytest.mark.parametrize("make", [xo.fastest_pulse, xo.optimal_markovian_pulse,
+                                      lambda budget, n: overshoot_pulse(n)],
+                             ids=["ramp", "markovian", "overshoot"])
+    def test_resolved_grid_matches_refined_grid(self, budget, make):
+        # At dt = t_c / 10, the coarsest step the CLI accepts, the pulse-grid
+        # value lies within 1e-3 of the same piecewise-linear phase on a grid
+        # 64 times finer.
+        n = 256
+        p = make(budget, n)
+        b = xo.BathModel(gamma=GAMMA, t_c=10.0 * p.dt)
+        assert p.dt == b.max_step
+        fine = np.linspace(0.0, p.t_f, 64 * n + 1)
+        refined = xo.make_pulse(np.interp(fine, p.times, p.phases), p.t_f)
+        assert xo.bath_infidelity(p, b) == pytest.approx(xo.bath_infidelity(refined, b), rel=1e-3)
 
 
 class TestGradient:

@@ -134,6 +134,10 @@ class TestValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             xo.OracleConfig(n_traj=0)
+        # The fidelities of 2**25 trajectories fill the 256 MiB noise-block limit.
+        assert xo.OracleConfig(n_traj=2 ** 25).n_traj == 2 ** 25
+        with pytest.raises(ValueError, match="n_traj"):
+            xo.OracleConfig(n_traj=2 ** 25 + 1)
         with pytest.raises(ValueError):
             xo.OracleConfig(n_traj=2, dt=-0.1)
         # Philox keys hold the seed in one 64-bit word.
@@ -213,37 +217,19 @@ class TestStandardError:
 
 
 class TestShapeRatio:
-    def test_identical_pulses_identical_ratios(self, budget):
-        p = xo.fastest_pulse(budget, 128)
-        b = xo.BathModel(gamma=0.05, t_c=1.0)
-        cfg = xo.OracleConfig(n_traj=3000, seed=2)
-        rep = xo.shape_ratio_check([p, p], b, 0.0, cfg)
-        assert rep.ratios[0] == rep.ratios[1]
-        assert rep.spread == 0.0
-
-    def test_strong_coupling_rejected(self, budget):
-        p = xo.fastest_pulse(budget, 64)
-        b = xo.BathModel(gamma=2.0, t_c=0.0)
-        with pytest.raises(ValueError, match="0.05"):
-            xo.shape_ratio_check([p, p], b, 0.0, xo.OracleConfig(n_traj=2))
-
-    def test_noiseless_bath_rejected(self, budget, monkeypatch):
-        # gamma = 0 predicts 0 for every pulse, so no ratio is defined; the
-        # check fails before any trajectory is simulated.
-        p = xo.fastest_pulse(budget, 64)
-        b = xo.BathModel(gamma=0.0, t_c=1.0)
-        monkeypatch.setattr(montecarlo, "simulate_transfer", lambda *args: pytest.fail("simulated"))
-        with pytest.raises(ValueError, match=r"\(0, 0.05\]"):
-            xo.shape_ratio_check([p, p], b, 0.0, xo.OracleConfig(n_traj=2))
-
     @pytest.mark.slow
     def test_fastest_vs_optimal_markovian(self, budget):
+        # Measured over predicted infidelity, (1 - mean) / prediction, agrees
+        # across shapes: a shape-dependent disagreement shows in the spread,
+        # a shared normalisation error does not.
         gamma = 0.04
         b = xo.BathModel(gamma=gamma, t_c=0.0)
         pulses = [xo.fastest_pulse(budget, 256), xo.optimal_markovian_pulse(budget, 256)]
         cfg = xo.OracleConfig(n_traj=40000, seed=6)
-        rep = xo.shape_ratio_check(pulses, b, 0.0, cfg)
-        assert rep.spread <= 0.10
+        predicted = [xo.bath_infidelity(p, b) for p in pulses]
+        assert all(0.0 < pred <= 0.05 for pred in predicted), predicted
+        ratios = [(1.0 - xo.simulate_transfer(p, b, 0.0, cfg).mean) / pred for p, pred in zip(pulses, predicted)]
+        assert max(ratios) / min(ratios) - 1.0 <= 0.10
 
 
 class TestChunking:
