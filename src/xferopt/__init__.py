@@ -5,7 +5,7 @@ state transfer from a dephasing-prone qubit to a quiet one, driven by a
 controlled coupling with a fixed total energy.
 """
 
-from .bath import BathModel, correlation, sample_noise_trajectory, spectrum
+from .bath import BathModel, sample_noise_trajectory
 from .fidelity import (
     InfidelityBreakdown,
     bath_infidelity,
@@ -13,11 +13,9 @@ from .fidelity import (
     infidelity_gradient,
     infidelity_markovian,
     infidelity_time,
-    modulation_spectrum,
 )
 from .leakage import (
     EvenState,
-    corrector_energy_estimate,
     minimal_corrector_energy,
     perturbative_leakage_amplitude,
     propagate_even,
@@ -25,7 +23,6 @@ from .leakage import (
 )
 from .markovian import (
     MarkovianProfile,
-    markovian_optimum_infidelity,
     optimal_markovian_pulse,
     solve_markovian_profile,
 )
@@ -53,14 +50,12 @@ from .pulse import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BathModel", "correlation", "spectrum", "sample_noise_trajectory",
+    "BathModel", "sample_noise_trajectory",
     "InfidelityBreakdown", "bath_infidelity", "infidelity_freq",
-    "infidelity_gradient", "infidelity_markovian", "infidelity_time", "modulation_spectrum",
-    "EvenState", "corrector_energy_estimate",
-    "minimal_corrector_energy", "perturbative_leakage_amplitude", "propagate_even",
+    "infidelity_gradient", "infidelity_markovian", "infidelity_time",
+    "EvenState", "minimal_corrector_energy", "perturbative_leakage_amplitude", "propagate_even",
     "sinusoidal_corrector_pulse",
-    "MarkovianProfile", "markovian_optimum_infidelity", "optimal_markovian_pulse",
-    "solve_markovian_profile",
+    "MarkovianProfile", "optimal_markovian_pulse", "solve_markovian_profile",
     "FidelityEstimate", "OracleConfig", "simulate_transfer",
     "OptimizationProblem", "OptimizationResult", "SweepRecord", "optimize_rwa",
     "optimize_with_leakage", "sweep_final_time",

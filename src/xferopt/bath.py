@@ -1,4 +1,4 @@
-"""Dephasing-bath models: correlation kernel, coupling spectrum, noise sampling.
+"""Dephasing-bath model: its correlation kernel on a grid, and noise sampling.
 
 The bath couples to the source qubit through its ``sigma_z`` and is described
 by an exponentially decaying correlation kernel
@@ -12,9 +12,10 @@ limit, handled analytically by the fidelity module.  The kernel area is
 ``gamma * pi^2 / (8 E)``.  ``gamma`` is the bath's only strength.
 
 Fourier convention: the coupling spectrum is
-``G(omega) = (1/2pi) integral Phi(t) e^{i omega t} dt``, paired with
-finite-time transforms ``integral x(tau) e^{-i omega tau} d tau`` in the
-fidelity module so that Parseval closes without stray ``2 pi`` factors.
+``G(omega) = (1/2pi) integral Phi(t) e^{i omega t} dt``, which is
+``(gamma / (2 pi)) / (1 + omega^2 t_c^2)``, paired with finite-time
+transforms ``integral x(tau) e^{-i omega tau} d tau`` in the fidelity
+module so that Parseval closes without stray ``2 pi`` factors.
 
 On a uniform grid of spacing ``dt`` the kernel samples are
 ``Phi(m dt) = c0 rho^m`` with ``c0 = gamma / (2 t_c)`` and
@@ -72,31 +73,6 @@ class BathModel:
         return self.t_c / 10.0 if self.t_c > 0.0 else np.inf
 
 
-def correlation(b: BathModel, dt):
-    """Correlation kernel ``Phi(dt)``; requires ``t_c > 0``.
-
-    The memoryless limit has no finite kernel value; callers must branch to
-    the closed-form Markovian path instead.
-    """
-    if b.is_markovian:
-        raise ValueError("correlation kernel undefined at t_c = 0; use the Markovian closed form")
-    dt = np.asarray(dt, dtype=float)
-    out = (0.5 * b.gamma / b.t_c) * np.exp(-np.abs(dt) / b.t_c)
-    return float(out) if out.ndim == 0 else out
-
-
-def spectrum(b: BathModel, omega):
-    """Coupling spectrum ``G(omega)``, the Fourier transform of the kernel.
-
-    ``G(omega) = (gamma / (2 pi)) / (1 + omega^2 t_c^2)``; for
-    ``t_c = 0`` this is flat at ``gamma / (2 pi)``.
-    """
-    omega = np.asarray(omega, dtype=float)
-    flat = 0.5 * b.gamma / np.pi
-    out = flat / (1.0 + (omega * b.t_c) ** 2)
-    return float(out) if out.ndim == 0 else out
-
-
 class _ExpFactor:
     """The factor ``L = I - rho S`` of the exponential kernel on ``n`` samples of ``dt``.
 
@@ -134,18 +110,6 @@ class _ExpFactor:
         out -= y
         out *= self.c0
         return out
-
-
-def kernel_product(b: BathModel, dt: float, y):
-    """Kernel matrix product ``out_j = sum_k Phi(|j - k| dt) y_k``, in O(N).
-
-    ``y`` is 1-d or has one column per vector, with samples along the first
-    axis.  Requires ``t_c > 0``.
-    """
-    if b.is_markovian:
-        raise ValueError("kernel product undefined at t_c = 0; use the Markovian closed form")
-    y = np.asarray(y, dtype=float)
-    return _ExpFactor(b, dt, y.shape[0]).product(y)
 
 
 def _check_uniform_grid(grid: np.ndarray) -> float:
@@ -224,8 +188,8 @@ def sample_noise_trajectory(b: BathModel, grid, seed: int, trajectory_index: int
     Uses the exact discrete recursion
     ``b_{k+1} = rho b_k + sigma sqrt(1 - rho^2) xi_k`` with
     ``rho = exp(-dt/t_c)`` and stationary variance
-    ``sigma^2 = gamma / (2 t_c)``, so the ensemble statistics match
-    :func:`correlation` exactly at the grid lags.  Normals come from a
+    ``sigma^2 = gamma / (2 t_c)``, so the ensemble statistics match the
+    kernel exactly at the grid lags.  Normals come from a
     counter-based Philox generator keyed by ``(seed, trajectory_index)``;
     the result is bitwise reproducible regardless of evaluation order, and
     equals that trajectory's column of any :func:`sample_noise_block`.

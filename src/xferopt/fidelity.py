@@ -237,19 +237,9 @@ def _finite_transforms(phases: np.ndarray, dt: float, omegas: np.ndarray):
 
 
 def _spectrum(phases: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
+    """Modulation spectrum ``F(t_f, omega)`` of the grid phases at the given frequencies."""
     t1, t2 = _finite_transforms(phases, dt, omegas)
     return X1_WEIGHT * np.abs(t1) ** 2 + X2_WEIGHT * np.abs(t2) ** 2
-
-
-def modulation_spectrum(p: Pulse, omega):
-    """Modulation spectrum ``F(t_f, omega)`` of the pulse.
-
-    ``F = (2/3)|T[cos^2 phi]|^2 + (1/2)|T[sin 2phi]|^2`` with the finite-time
-    transforms taken by trapezoid quadrature on the pulse grid.  Accepts a
-    scalar or an array of frequencies.
-    """
-    f = _spectrum(p.phases, p.dt, np.atleast_1d(np.asarray(omega, dtype=float)))
-    return float(f[0]) if np.isscalar(omega) or np.asarray(omega).ndim == 0 else f
 
 
 # Gauss-Legendre nodes per panel of the spectral-overlap quadrature.

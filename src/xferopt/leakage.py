@@ -23,8 +23,7 @@ splitting, and dropping the terms at ``4 omega_0``, it couples |gg> and |ee>
 through ``(A/2)(sin chi sx + cos chi sy)``.  At ``chi = pi`` that is
 ``-(A/2) sy``, which turns the real state ``(sqrt(1 - psi^2), psi)`` back
 to |gg> once ``A T = 2 asin psi``, at the energy ``A^2 T / 2 =
-2 asin^2 psi / T`` (:func:`corrector_energy_estimate`), which is exact in
-the weak-drive limit.
+2 asin^2 psi / T``, which is exact in the weak-drive limit.
 """
 
 from __future__ import annotations
@@ -220,20 +219,6 @@ def perturbative_leakage_amplitude(p: Pulse, omega0: float) -> complex:
         return complex(-1j * np.sum(v) * p.dt)
     phase = np.exp(1j * 2.0 * omega0 * t)
     return complex(-np.sum(v * (phase[1:] - phase[:-1])) / (2.0 * omega0))
-
-
-def corrector_energy_estimate(psi_ee: float, available_time: float) -> float:
-    """Energy needed to empty a residual |ee> amplitude within time ``T``.
-
-    Returns the weak-drive optimum ``2 asin^2(psi_ee) / T`` of the module
-    docstring, the energy of the resonant drive that rotates ``psi_ee`` back
-    to |gg> in time ``T``.
-    """
-    if not (0.0 <= psi_ee < 1.0):
-        raise ValueError(f"psi_ee must lie in [0, 1), got {psi_ee}")
-    if not 0.0 < available_time < np.inf:
-        raise ValueError(f"available_time must be positive and finite, got {available_time}")
-    return float(2.0 * np.arcsin(psi_ee) ** 2 / available_time)
 
 
 def sinusoidal_corrector_pulse(amplitude: float, chi: float, omega0: float, duration: float, n: int) -> Pulse:

@@ -42,13 +42,6 @@ _DU = math.log(HALF_PI / _EPS_END) / _N_INTERVALS
 _CUT_EPS = 1e-8
 
 
-def profile_slope(phi):
-    """Right-hand side of the profile equation as a function of phi."""
-    phi = np.asarray(phi, dtype=float)
-    out = np.sqrt(0.5 * np.sin(2.0 * phi) ** 2 + (2.0 / 3.0) * np.cos(phi) ** 4)
-    return float(out) if out.ndim == 0 else out
-
-
 def _slope_eps(eps):
     """The profile slope at ``phi = pi/2 - eps``, written in ``eps``."""
     return np.sqrt(0.5 * np.sin(2.0 * eps) ** 2 + (2.0 / 3.0) * np.sin(eps) ** 4)
@@ -130,11 +123,3 @@ def optimal_markovian_pulse(budget, n: int = 512) -> Pulse:
     t_f, phases = _rescaled_profile(budget, n)
     phases[-1] = HALF_PI
     return Pulse(t_f=t_f, phases=phases)
-
-
-def markovian_optimum_infidelity(gamma: float, energy: float) -> float:
-    """Closed-form optimal memoryless infidelity ``gamma * e_M^2 / E``."""
-    if not 0.0 <= gamma < np.inf:
-        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
-    budget = _as_budget(energy)
-    return gamma * solve_markovian_profile().e_m ** 2 / budget.energy

@@ -29,7 +29,8 @@ summed once over all trajectories, so results are bitwise reproducible and
 do not depend on the chunk width.  Each chunk draws its noise as
 one time-major ``(steps, count)`` block
 (:func:`xferopt.bath.sample_noise_block`) into a buffer shared by all
-chunks.  The step loop reads the block 8 rows at a time, gets those steps'
+chunks, and hands it to the propagator, which runs on whatever paths it is
+given.  The step loop reads the block 8 rows at a time, gets those steps'
 rotations of all trajectories from one
 :func:`xferopt.leakage.segment_rotation` call (one more for a driven even
 sector) and updates the amplitudes in preallocated buffers.  Under RWA the
@@ -143,21 +144,17 @@ class _SectorState:
             self.amp, self._next = self._next, self.amp
 
 
-def _chunk_amplitudes(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig,
-                      v_steps: np.ndarray, dt: float, first: int, count: int,
-                      noise_buffer: np.ndarray | None = None):
-    """Ground (frame-corrected) and transferred amplitudes of one chunk.
+def _propagate(noise: np.ndarray, v_steps: np.ndarray, dt: float, omega0: float, t_f: float, rwa: bool):
+    """Ground (frame-corrected) and transferred amplitudes on the given noise paths.
 
-    ``noise_buffer``, if given, is the ``(m, count)`` array the chunk's
-    noise is drawn into (see :func:`xferopt.bath.sample_noise_block`).
+    ``noise`` is a time-major ``(m, count)`` block, one path per column, and
+    ``v_steps`` the ``m`` drive amplitudes of the steps of ``dt``.
     """
-    m = v_steps.size
-    noise = sample_noise_block(b, dt, m, cfg.seed, first, count, out=noise_buffer)
-
+    m, count = noise.shape
     # Odd sector from |e1 g2>: want the transferred amplitude <g1 e2|psi>.
     odd = _SectorState(count, 1)
     # Even sector from |g1 g2>; under RWA only the noise sum enters its phase.
-    if cfg.rwa:
+    if rwa:
         z_sum = np.zeros(count)
     else:
         even = _SectorState(count, 0)
@@ -167,7 +164,7 @@ def _chunk_amplitudes(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig,
         zb = noise[k0:k1]
         vb = v_steps[k0:k1, None]
         odd.advance(vb, zb, dt)
-        if cfg.rwa:
+        if rwa:
             for zk in zb:
                 z_sum += zk
         else:
@@ -177,23 +174,14 @@ def _chunk_amplitudes(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig,
     norm_odd = np.abs(v0) ** 2 + np.abs(v1) ** 2
     if np.max(np.abs(norm_odd - 1.0)) > NORM_TOL:
         raise RuntimeError("odd-sector norm drifted beyond tolerance")
-    if cfg.rwa:
+    if rwa:
         u0 = np.exp(1j * dt * (m * omega0 + z_sum))
     else:
         u0, u1 = even.amp
         norm_even = np.abs(u0) ** 2 + np.abs(u1) ** 2
         if np.max(np.abs(norm_even - 1.0)) > NORM_TOL:
             raise RuntimeError("even-sector norm drifted beyond tolerance")
-    return np.exp(-1j * omega0 * p.t_f) * u0, v0
-
-
-def _chunk_fidelities(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig,
-                      v_steps: np.ndarray, dt: float, first: int, count: int,
-                      noise_buffer: np.ndarray | None = None) -> np.ndarray:
-    """Six-state mean transfer fidelity of trajectories ``first ... first + count - 1``."""
-    amp_ground, amp_transfer = _chunk_amplitudes(p, b, omega0, cfg, v_steps, dt, first, count, noise_buffer)
-    return (np.abs(amp_ground) ** 2 + np.abs(amp_transfer) ** 2
-            - np.imag(np.conj(amp_ground) * amp_transfer)) / 3.0
+    return np.exp(-1j * omega0 * t_f) * u0, v0
 
 
 def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) -> FidelityEstimate:
@@ -221,7 +209,10 @@ def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) 
     f = np.empty(cfg.n_traj)
     for i0 in range(0, cfg.n_traj, chunk):
         count = min(chunk, cfg.n_traj - i0)
-        f[i0 : i0 + count] = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, i0, count, noise_buffer[:, :count])
+        noise = sample_noise_block(b, dt, m, cfg.seed, i0, count, out=noise_buffer[:, :count])
+        ground, transfer = _propagate(noise, v_steps, dt, omega0, p.t_f, cfg.rwa)
+        # The six-state mean transfer fidelity of each trajectory.
+        f[i0 : i0 + count] = (np.abs(ground) ** 2 + np.abs(transfer) ** 2 - np.imag(np.conj(ground) * transfer)) / 3.0
     mean = float(np.sum(f)) / cfg.n_traj
     stderr = 0.0
     if cfg.n_traj > 1:

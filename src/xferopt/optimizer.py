@@ -65,6 +65,9 @@ _MAX_ITER = 2000
 # A solve converged when its projected gradient is at most this many times
 # gtol; solves of the acceptance, sweep and leakage problems end at <= 62x.
 _CONVERGED_GTOL_FACTOR = 1e3
+# Largest design grid, the corrector's bound: at 2**20 segments L-BFGS-B's 30
+# correction pairs alone take about 0.5 GB.
+_MAX_GRID_N = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,8 @@ class OptimizationProblem:
     the budget's energy and runs from the same start templates.  The design
     is meaningful only when the grid step ``t_f / grid_n`` resolves the
     memory, at most ``t_c / 10`` (:attr:`BathModel.max_step`); a coarser
-    grid is not rejected, but its bath term is wrong.
+    grid is not rejected, but its bath term is wrong.  ``grid_n`` is at
+    most ``2**20``.
     """
 
     bath: BathModel
@@ -93,8 +97,8 @@ class OptimizationProblem:
         for name in ("omega0", "leak_weight"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
-        if self.grid_n < 2:
-            raise ValueError("grid_n must be at least 2")
+        if not 2 <= self.grid_n <= _MAX_GRID_N:
+            raise ValueError(f"grid_n must lie in [2, {_MAX_GRID_N}], got {self.grid_n}")
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,24 @@ def overshoot_pulse(n):
     return xo.make_pulse(phases, 10.0)
 
 
+def trap_weights(n, dt):
+    """Trapezoid weights of ``n`` samples of spacing ``dt``."""
+    w = np.full(n, dt)
+    w[[0, -1]] *= 0.5
+    return w
+
+
+def dense_kernel(b, n, dt):
+    """O(N^2) reference: the kernel (gamma / (2 t_c)) exp(-|t| / t_c) on ``n`` samples of ``dt``.
+
+    Lags are taken as |j - k| dt, exact integers times dt, so the reference
+    carries no rounding from differences of large times.
+    """
+    j = np.arange(n)
+    lags = np.abs(j[:, None] - j[None, :]) * dt
+    return (0.5 * b.gamma / b.t_c) * np.exp(-lags / b.t_c)
+
+
 def check_directional_derivative(value_grad, phases, rng, atol, h=1e-5, rtol=1e-6):
     """Exact gradient against a central difference along a random direction.
 

@@ -2,68 +2,31 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, simpson
 
 import xferopt as xo
 from xferopt import bath
-from xferopt.bath import kernel_product, sample_noise_block
+from xferopt.bath import _ExpFactor, sample_noise_block
+from conftest import dense_kernel
 
 
 class TestCorrelation:
+    """The kernel (gamma / (2 t_c)) exp(-|t| / t_c) as the grid's exponential factor holds it."""
+
     def test_peak_value(self):
         b = xo.BathModel(gamma=0.4, t_c=2.0)
-        assert xo.correlation(b, 0.0) == pytest.approx(0.5 * 0.4 / 2.0, rel=1e-15)
-
-    def test_symmetry(self):
-        b = xo.BathModel(gamma=0.4, t_c=2.0)
-        dts = np.linspace(0.1, 12.0, 20)
-        np.testing.assert_array_equal(xo.correlation(b, dts), xo.correlation(b, -dts))
+        factor = _ExpFactor(b, 0.1, 8)
+        assert factor.c0 == pytest.approx(0.5 * 0.4 / 2.0, rel=1e-15)
+        assert factor.rho == np.exp(-0.1 / 2.0)
 
     def test_total_weight_is_gamma(self):
-        # Integral of the kernel (gamma / (2 t_c)) exp(-|t| / t_c) over the whole line.
+        # The trapezoid sum of the samples c0 rho^|m| over all lags m dt,
+        # c0 dt (1 + rho) / (1 - rho), is the kernel's area gamma up to
+        # (dt / t_c)^2 / 12.
         b = xo.BathModel(gamma=0.7, t_c=1.3)
-        val, _ = quad(lambda t: xo.correlation(b, t), -80 * b.t_c, 80 * b.t_c, limit=400)
-        assert val == pytest.approx(b.gamma, rel=1e-9)
-
-    def test_markovian_rejected(self):
-        b = xo.BathModel(gamma=0.4, t_c=0.0)
-        with pytest.raises(ValueError):
-            xo.correlation(b, 0.1)
-
-
-class TestSpectrum:
-    def test_markovian_flat(self):
-        b = xo.BathModel(gamma=0.8, t_c=0.0)
-        omegas = np.array([-40.0, -1.0, 0.0, 3.0, 500.0])
-        np.testing.assert_allclose(xo.spectrum(b, omegas), 0.8 / (2 * np.pi), rtol=1e-15)
-
-    def test_symmetry(self):
-        b = xo.BathModel(gamma=0.8, t_c=0.7)
-        w = np.linspace(0.1, 30, 17)
-        np.testing.assert_array_equal(xo.spectrum(b, w), xo.spectrum(b, -w))
-
-    def test_half_width(self):
-        b = xo.BathModel(gamma=0.8, t_c=0.7)
-        assert xo.spectrum(b, 1.0 / b.t_c) == pytest.approx(0.5 * xo.spectrum(b, 0.0), rel=1e-14)
-
-    def test_nonnegative(self):
-        b = xo.BathModel(gamma=0.8, t_c=5.0)
-        w = np.linspace(-100, 100, 2001)
-        assert np.all(xo.spectrum(b, w) >= 0.0)
-
-    def test_matches_numerical_fourier_transform(self):
-        b = xo.BathModel(gamma=0.5, t_c=1.7)
-        t = np.linspace(-80 * b.t_c, 80 * b.t_c, 400001)
-        phi = xo.correlation(b, t)
-        for w in np.linspace(0.0, 20.0 / b.t_c, 9):
-            ft = simpson(phi * np.cos(w * t), x=t) / (2 * np.pi)
-            assert ft == pytest.approx(xo.spectrum(b, w), rel=1e-6)
-
-    def test_markovian_limit_pointwise(self):
-        gamma = 0.9
-        b = xo.BathModel(gamma=gamma, t_c=1e-4)
-        for w in (0.0, 0.5, 2.0, 10.0):
-            assert xo.spectrum(b, w) == pytest.approx(gamma / (2 * np.pi), rel=1e-6)
+        dt = 1e-3 * b.t_c
+        factor = _ExpFactor(b, dt, 2)
+        area = factor.c0 * dt * (1.0 + factor.rho) / (1.0 - factor.rho)
+        assert area == pytest.approx(b.gamma, rel=1e-6)
 
 
 class TestNoiseSampling:
@@ -129,7 +92,7 @@ class TestNoiseSampling:
         samples = sample_noise_block(b, grid[1] - grid[0], grid.size, 77, 0, n_traj).T
         for m in (2, 5):
             cov = np.mean(samples[:, :-m] * samples[:, m:])
-            expected = xo.correlation(b, m * 0.1)
+            expected = (0.5 * b.gamma / b.t_c) * np.exp(-m * 0.1 / b.t_c)
             se = np.std(samples[:, :-m] * samples[:, m:], ddof=1) / np.sqrt(samples[:, :-m].size)
             assert abs(cov - expected) < 4 * se
 
@@ -229,17 +192,9 @@ class TestNoiseBlock:
             sample_noise_block(xo.BathModel(gamma=0.1, t_c=1.0), 0.01, 8, 0, -1, 2)
 
 
-def dense_kernel(b, n, dt):
-    """O(N^2) reference: the kernel matrix Phi(|t_j - t_k|) on the grid.
-
-    Lags are taken as |j - k| dt, exact integers times dt, so the reference
-    carries no rounding from differences of large times.
-    """
-    j = np.arange(n)
-    return xo.correlation(b, np.abs(j[:, None] - j[None, :]) * dt)
-
-
 class TestKernelProduct:
+    """The factor's kernel product against the dense kernel matrix."""
+
     # t_c / dt from 1e-3 (rho = exp(-1000) underflows to 0) to 1e4 (rho -> 1).
     @pytest.mark.parametrize("ratio", [1e-3, 0.3, 1.0, 40.0, 1e4])
     @pytest.mark.parametrize("n", [2, 3, 321, 2049])
@@ -249,18 +204,15 @@ class TestKernelProduct:
         b = xo.BathModel(gamma=0.3, t_c=ratio * dt)
         k = dense_kernel(b, n, dt)
         y2 = np.column_stack((rng.uniform(0.0, 1.0, n), rng.standard_normal(n)))
-        got2 = kernel_product(b, dt, y2)
+        factor = _ExpFactor(b, dt, n)
+        got2 = factor.product(y2)
         for j in range(2):
             want = k @ y2[:, j]
             assert got2.shape == y2.shape
             assert np.max(np.abs(got2[:, j] - want)) <= 1e-12 * np.max(np.abs(want))
-            got1 = kernel_product(b, dt, y2[:, j])
+            got1 = factor.product(y2[:, j])
             assert got1.shape == (n,)
             assert np.max(np.abs(got1 - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_markovian_rejected(self):
-        with pytest.raises(ValueError, match="t_c = 0"):
-            kernel_product(xo.BathModel(gamma=0.3, t_c=0.0), 0.1, np.ones(4))
 
 
 def test_bath_validation():

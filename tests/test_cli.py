@@ -328,6 +328,22 @@ def test_unresolved_memory_rejected_before_any_work(capsys, tmp_path, fast_pulse
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+def test_huge_grid_rejected_before_any_work(capsys, tmp_path, monkeypatch, command):
+    # 1e9 segments would need 8 GB for one grid array; no design may start.
+    def no_design(prob, include_leakage):
+        raise AssertionError("a design ran")
+
+    monkeypatch.setattr(xferopt.optimizer, "_optimize", no_design)
+    argv = {"optimize": ["optimize", "--t-f", "3", "--out", str(tmp_path / "big.csv")],
+            "sweep": ["sweep", "--t-f-list", "2,3", "--out-dir", str(tmp_path / "out")]}[command]
+    code, out, err = run(capsys, [*argv, "--gamma", str(GAMMA), "--energy", str(ENERGY), "--grid-n", "1000000000"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: grid_n must lie in [2, 1048576], got 1000000000")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["evaluate", "oracle", "optimize", "sweep"])
 def test_resolved_memory_runs(capsys, tmp_path, fast_pulse_file, command):
     dt, argv = grid_command(command, fast_pulse_file, tmp_path)

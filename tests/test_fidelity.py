@@ -8,15 +8,23 @@ from hypothesis import strategies as st
 import xferopt as xo
 from xferopt import fidelity
 from xferopt.fidelity import bath_value_grad
-from conftest import ENERGY, GAMMA, check_directional_derivative, overshoot_pulse, random_pulse
+from conftest import (ENERGY, GAMMA, check_directional_derivative, dense_kernel, overshoot_pulse, random_pulse,
+                      trap_weights)
+
+
+def spectrum(p, omega):
+    """Modulation spectrum of the pulse at a frequency or an array of them."""
+    return fidelity._spectrum(p.phases, p.dt, np.atleast_1d(np.asarray(omega, dtype=float)))
 
 
 class TestModulationSpectrum:
+    """The modulation spectrum F(t_f, omega) that the frequency path integrates."""
+
     def test_zero_phase_dc_value(self):
         # phi = 0 keeps the cos^2 integrand at 1: F(0) = (2/3) t_f^2 exactly.
         for t_f in (1.0, 2.5):
             p = xo.make_pulse(np.zeros(33), t_f)
-            assert xo.modulation_spectrum(p, 0.0) == pytest.approx((2 / 3) * t_f ** 2, rel=1e-14)
+            assert spectrum(p, 0.0)[0] == pytest.approx((2 / 3) * t_f ** 2, rel=1e-14)
 
     def test_instantaneous_transfer_vanishes(self):
         # Both integrands vanish at phi = pi/2; only the first grid node
@@ -27,22 +35,20 @@ class TestModulationSpectrum:
             p = xo.make_pulse(phases, 1.0)
             bound = (2 / 3) * (p.dt / 2) ** 2 + 1e-15
             w = np.linspace(-20, 20, 41)
-            assert np.all(xo.modulation_spectrum(p, w) <= bound)
+            assert np.all(spectrum(p, w) <= bound)
 
     def test_even_in_frequency(self):
         rng = np.random.default_rng(2)
         p = random_pulse(rng, 48, 1.4)
         w = np.linspace(0.1, 50, 23)
-        np.testing.assert_allclose(
-            xo.modulation_spectrum(p, w), xo.modulation_spectrum(p, -w), rtol=1e-13
-        )
+        np.testing.assert_allclose(spectrum(p, w), spectrum(p, -w), rtol=1e-13)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
             p = random_pulse(rng, 40, 2.0)
             w = np.linspace(-60, 60, 301)
-            assert np.all(xo.modulation_spectrum(p, w) >= 0.0)
+            assert np.all(spectrum(p, w) >= 0.0)
 
 
 class TestMarkovianInfidelity:
@@ -276,18 +282,6 @@ class TestGradient:
         np.testing.assert_allclose(g[hold - 1], -2.0 * w[hold] * r2[hold], rtol=1e-12)
         fd = self.finite_difference(p, b)
         np.testing.assert_allclose(g[hold - 1], fd[hold - 1], rtol=2e-4)
-
-
-def trap_weights(n, dt):
-    w = np.full(n, dt)
-    w[[0, -1]] *= 0.5
-    return w
-
-
-def dense_kernel(b, n, dt):
-    """O(N^2) kernel matrix Phi(|t_j - t_k|), with lags taken as |j - k| dt."""
-    j = np.arange(n)
-    return xo.correlation(b, np.abs(j[:, None] - j[None, :]) * dt)
 
 
 class TestBathValueGrad:

@@ -7,8 +7,8 @@ from scipy.linalg import expm
 import xferopt as xo
 from xferopt import montecarlo
 from xferopt.bath import sample_noise_block
-from xferopt.montecarlo import _chunk_amplitudes, _chunk_fidelities, _resolve_steps
-from conftest import ENERGY, random_pulse
+from xferopt.montecarlo import _propagate, _resolve_steps
+from conftest import ENERGY, overshoot_pulse, random_pulse
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.diag([-1.0, 1.0])
@@ -21,6 +21,25 @@ def chunk_setup(p, b, omega0, cfg):
 
 def six_state_fidelity(amp_ground, amp_transfer):
     return (abs(amp_ground) ** 2 + abs(amp_transfer) ** 2 - np.imag(np.conj(amp_ground) * amp_transfer)) / 3.0
+
+
+def chunk_fidelities(p, b, omega0, cfg, v_steps, dt, first, count):
+    """Fidelities of trajectories ``first ... first + count - 1``, drawn and propagated as one chunk."""
+    noise = sample_noise_block(b, dt, v_steps.size, cfg.seed, first, count)
+    return six_state_fidelity(*_propagate(noise, v_steps, dt, omega0, p.t_f, cfg.rwa))
+
+
+def record_chunk_fidelities(monkeypatch):
+    """Record each chunk's fidelities as simulate_transfer propagates it; returns the list."""
+    chunks = []
+
+    def recording(*args):
+        amps = _propagate(*args)
+        chunks.append(six_state_fidelity(*amps))
+        return amps
+
+    monkeypatch.setattr(montecarlo, "_propagate", recording)
+    return chunks
 
 
 class TestIdealTransfer:
@@ -108,13 +127,7 @@ class TestValidation:
         whole = xo.simulate_transfer(p, b, omega0, cfg)
         m = chunk_setup(p, b, omega0, cfg)[0].size
         monkeypatch.setattr(montecarlo, "_NOISE_BLOCK_BYTES", 8 * m * 3 + 7)
-        chunks = []
-
-        def recording(*args):
-            chunks.append(_chunk_fidelities(*args))
-            return chunks[-1]
-
-        monkeypatch.setattr(montecarlo, "_chunk_fidelities", recording)
+        chunks = record_chunk_fidelities(monkeypatch)
         assert xo.simulate_transfer(p, b, omega0, cfg) == whole
         assert [f.size for f in chunks] == [3, 3, 2]
 
@@ -204,13 +217,7 @@ class TestStandardError:
         # rounding alone.
         p = xo.fastest_pulse(budget, 64)
         cfg = xo.OracleConfig(n_traj=4096, seed=1)
-        chunks = []
-
-        def recording(*args):
-            chunks.append(_chunk_fidelities(*args))
-            return chunks[-1]
-
-        monkeypatch.setattr(montecarlo, "_chunk_fidelities", recording)
+        chunks = record_chunk_fidelities(monkeypatch)
         est = xo.simulate_transfer(p, xo.BathModel(gamma=gamma, t_c=t_c), 0.0, cfg)
         f = np.concatenate(chunks)
         assert est.stderr == pytest.approx(np.std(f, ddof=1) / np.sqrt(f.size), rel=1e-6)
@@ -243,11 +250,11 @@ class TestChunking:
         b = xo.BathModel(gamma=0.05, t_c=t_c)
         cfg = xo.OracleConfig(n_traj=4096, seed=13, rwa=rwa)
         v_steps, dt = chunk_setup(p, b, omega0, cfg)
-        whole = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, 0, 4096)
+        whole = chunk_fidelities(p, b, omega0, cfg, v_steps, dt, 0, 4096)
         n = 22
         for size in (1, 7):
             parts = np.concatenate([
-                _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, first, min(size, n - first))
+                chunk_fidelities(p, b, omega0, cfg, v_steps, dt, first, min(size, n - first))
                 for first in range(0, n, size)
             ])
             assert np.array_equal(parts, whole[:n]), size
@@ -262,7 +269,7 @@ class TestChunking:
         b = xo.BathModel(gamma=0.05, t_c=t_c)
         cfg = xo.OracleConfig(n_traj=22, seed=12)
         v_steps, dt = chunk_setup(p, b, 0.0, cfg)
-        whole = _chunk_fidelities(p, b, 0.0, cfg, v_steps, dt, 0, 22)
+        whole = chunk_fidelities(p, b, 0.0, cfg, v_steps, dt, 0, 22)
         est = xo.simulate_transfer(p, b, 0.0, cfg)
         assert est.mean == np.mean(whole)
 
@@ -289,17 +296,11 @@ class TestChunking:
         p = xo.fastest_pulse(budget, 64)
         b = xo.BathModel(gamma=0.05, t_c=t_c)
         cfg = xo.OracleConfig(n_traj=8, seed=13, rwa=rwa)
-        chunks = []
-
-        def recording(*args):
-            chunks.append(_chunk_fidelities(*args))
-            return chunks[-1]
-
-        monkeypatch.setattr(montecarlo, "_chunk_fidelities", recording)
+        chunks = record_chunk_fidelities(monkeypatch)
         xo.simulate_transfer(p, b, omega0, cfg)
         assert [f.size for f in chunks] == [7, 1]
         v_steps, dt = chunk_setup(p, b, omega0, cfg)
-        whole = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, 0, cfg.n_traj)
+        whole = chunk_fidelities(p, b, omega0, cfg, v_steps, dt, 0, cfg.n_traj)
         assert np.array_equal(np.concatenate(chunks), whole)
 
 
@@ -321,18 +322,18 @@ class TestBlockEdges:
         cfg = xo.OracleConfig(n_traj=600, seed=17, rwa=rwa)
         v_steps, dt = chunk_setup(p, b, omega0, cfg)
         assert v_steps.size == steps and steps % montecarlo._BLOCK_STEPS != 0
-        whole = _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, 0, cfg.n_traj)
+        whole = chunk_fidelities(p, b, omega0, cfg, v_steps, dt, 0, cfg.n_traj)
         for size in (1, 7, 65, 257):
             n = min(cfg.n_traj, 3 * size + 5)
             parts = np.concatenate([
-                _chunk_fidelities(p, b, omega0, cfg, v_steps, dt, first, min(size, n - first))
+                chunk_fidelities(p, b, omega0, cfg, v_steps, dt, first, min(size, n - first))
                 for first in range(0, n, size)
             ])
             assert np.array_equal(parts, whole[:n]), size
 
 
 class TestSectorsAgainstExplicitProducts:
-    """Chunk amplitudes against per-step products written out here."""
+    """Propagated amplitudes against per-step products written out here."""
 
     OMEGA0 = np.pi
     N_SEGMENTS = 16
@@ -354,7 +355,7 @@ class TestSectorsAgainstExplicitProducts:
 
     def test_rwa_phase_equals_step_product(self, budget):
         p, b, cfg, v_steps, dt, noise = self.setup_problem(budget)
-        amp_ground, _ = _chunk_amplitudes(p, b, self.OMEGA0, cfg, v_steps, dt, 0, cfg.n_traj)
+        amp_ground, _ = _propagate(noise, v_steps, dt, self.OMEGA0, p.t_f, cfg.rwa)
         for j in range(cfg.n_traj):
             u = 1.0 + 0.0j
             for zk in noise[:, j]:
@@ -364,7 +365,7 @@ class TestSectorsAgainstExplicitProducts:
 
     def test_driven_even_sector(self, budget):
         p, b, cfg, v_steps, dt, noise = self.setup_problem(budget, rwa=False)
-        f = _chunk_fidelities(p, b, self.OMEGA0, cfg, v_steps, dt, 0, cfg.n_traj)
+        f = six_state_fidelity(*_propagate(noise, v_steps, dt, self.OMEGA0, p.t_f, cfg.rwa))
         for j in range(cfg.n_traj):
             u = np.array([1.0, 0.0], dtype=complex)
             for vk, zk in zip(v_steps, noise[:, j]):
@@ -384,3 +385,29 @@ class TestSectorsOnRaggedBlocks(TestSectorsAgainstExplicitProducts):
         for rwa, steps in ((True, 74), (False, 629)):
             _, _, _, v_steps, _, _ = self.setup_problem(budget, rwa=rwa)
             assert v_steps.size == steps and steps % montecarlo._BLOCK_STEPS != 0
+
+
+class TestFixedNoisePaths:
+    """The propagator on given noise paths against the second-order form, without statistics."""
+
+    @pytest.mark.parametrize("make", [xo.fastest_pulse, xo.optimal_markovian_pulse,
+                                      lambda budget, n: overshoot_pulse(n)],
+                             ids=["fastest", "markovian", "overshoot"])
+    def test_rwa_loss_is_the_second_order_form(self, budget, make):
+        # Under RWA, on one path z of amplitude eps, 1 - f is
+        # (2/3) s1^2 + (1/2) s2^2 up to O(eps^3) and the midpoint rule, with
+        # s_i = sum_k z_k dt x_i(phi(t_k + dt/2)), x1 = cos^2 phi, x2 = sin 2phi.
+        # Paths: constant, a ramp, sin 7t and one seeded Gaussian draw.
+        p = make(budget, 256)
+        per_segment = 4
+        v_steps = np.repeat(p.amplitudes(), per_segment)
+        dt = p.dt / per_segment
+        mid = (np.arange(v_steps.size) + 0.5) * dt
+        gaussian = np.random.default_rng(3).standard_normal(mid.size)
+        z = 1e-3 * np.column_stack((np.ones(mid.size), mid / p.t_f, np.sin(7.0 * mid), gaussian))
+        f = six_state_fidelity(*_propagate(z, v_steps, dt, 0.0, p.t_f, True))
+        phi = np.interp(mid, p.times, p.phases)
+        s1 = dt * (np.cos(phi) ** 2 @ z)
+        s2 = dt * (np.sin(2.0 * phi) @ z)
+        form = (2 / 3) * s1 ** 2 + 0.5 * s2 ** 2
+        assert np.max(np.abs((1.0 - f) / form - 1.0)) <= 1e-4

@@ -27,6 +27,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="infeasible"):
             small_problem(t_f=0.9)
 
+    def test_grid_n_bounded(self):
+        # The corrector's bound: at 2**20 segments L-BFGS-B's history alone takes about 0.5 GB.
+        assert small_problem(n=2 ** 20).grid_n == 2 ** 20
+        for n in (1, 2 ** 20 + 1):
+            with pytest.raises(ValueError, match=r"^grid_n must lie in \[2, 1048576\]"):
+                small_problem(n=n)
+
 
 class TestMinimumTime:
     def test_unique_feasible_point_is_the_ramp(self):
@@ -267,12 +274,18 @@ def test_every_start_converges_to_one_optimum(leakage):
 class TestFastestIsNotOptimal:
     """The abstract: the fastest transfer is never optimal for a given energy."""
 
-    @pytest.mark.parametrize("tc_over_tmin", [0.0, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0])
-    def test_one_percent_more_time_beats_the_fastest_pulse(self, tc_over_tmin):
+    # Grids that resolve the memory, dt <= t_c / 10: t_c = 0.01 t_min needs 1024 segments.
+    CASES = [(0.0, 512), (0.01, 1024), (0.1, 512), (1.0, 512), (10.0, 512), (100.0, 512), (1000.0, 512)]
+
+    @pytest.mark.parametrize("tc_over_tmin, grid_n", CASES, ids=[str(tc) for tc, _ in CASES])
+    def test_one_percent_more_time_beats_the_fastest_pulse(self, tc_over_tmin, grid_n):
         budget = xo.EnergyBudget(ENERGY)
         bath = xo.BathModel(gamma=GAMMA, t_c=tc_over_tmin * budget.t_min)
-        res = xo.optimize_rwa(xo.OptimizationProblem(bath=bath, budget=budget, t_f=1.01 * budget.t_min, grid_n=512))
-        fastest = xo.bath_infidelity(xo.fastest_pulse(budget, 512), bath)
+        prob = xo.OptimizationProblem(bath=bath, budget=budget, t_f=1.01 * budget.t_min, grid_n=grid_n)
+        ramp = xo.fastest_pulse(budget, grid_n)
+        assert prob.t_f / prob.grid_n <= bath.max_step and ramp.dt <= bath.max_step
+        res = xo.optimize_rwa(prob)
+        fastest = xo.bath_infidelity(ramp, bath)
         assert res.converged
         assert res.breakdown.total <= 0.98 * fastest
 

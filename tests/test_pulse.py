@@ -92,15 +92,10 @@ class TestControlAmplitude:
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda p: xo.markovian_optimum_infidelity(np.nan, 2.0), "gamma"),
-    (lambda p: xo.corrector_energy_estimate(0.1, np.nan), "available_time"),
-    (lambda p: xo.corrector_energy_estimate(np.nan, 1.0), "psi_ee"),
     (lambda p: xo.minimal_corrector_energy(1.0, 0.1, np.nan), "available_time"),
     (lambda p: xo.minimal_corrector_energy(np.nan, 0.1, 1.0), "omega0"),
     (lambda p: xo.minimal_corrector_energy(1.0, np.nan, 1.0), "psi_ee"),
-], ids=["markovian_optimum_infidelity",
-        "corrector_energy_estimate-time", "corrector_energy_estimate-psi_ee",
-        "minimal_corrector_energy-time", "minimal_corrector_energy-omega0", "minimal_corrector_energy-psi_ee"])
+], ids=["minimal_corrector_energy-time", "minimal_corrector_energy-omega0", "minimal_corrector_energy-psi_ee"])
 def test_nan_rejected_naming_the_parameter(call, name):
     # Checks of the form "not lo <= x <= hi" fail on NaN before any arithmetic.
     p = xo.fastest_pulse(ENERGY, 16)
