@@ -206,7 +206,7 @@ def cmd_oracle(args) -> int:
     bath = _bath_from(args)
     _check_resolved(bath, pulse.dt)
     omega0 = _omega0_from(args)
-    ocfg = OracleConfig(n_traj=args.n_traj, seed=args.seed, dt=args.dt, rwa=args.rwa)
+    ocfg = OracleConfig(n_traj=args.n_traj, seed=args.seed, rwa=args.rwa)
     est = simulate_transfer(pulse, bath, omega0, ocfg)
     predicted = bath_infidelity(pulse, bath)
     print(f"mean_fidelity = {_fmt(est.mean)}")
@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rwa", action=argparse.BooleanOptionalAction, default=OracleConfig.rwa)
     sp.add_argument("--n-traj", dest="n_traj", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=OracleConfig.seed)
-    sp.add_argument("--dt", type=float, default=OracleConfig.dt)
     sp.set_defaults(func=cmd_oracle)
 
     return parser

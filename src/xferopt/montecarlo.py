@@ -42,6 +42,7 @@ it falls in.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,25 +68,27 @@ _BLOCK_STEPS = 8
 class OracleConfig:
     """Monte-Carlo run parameters.
 
-    ``n_traj`` is at most ``2**25``.  ``dt = None`` picks half the largest
-    admissible step, which is bounded by ``t_c / 10`` (colored noise,
-    :attr:`BathModel.max_step`), ``0.01 / omega0`` (splitting resolution of
-    a driven even sector, ``rwa = False``) and the pulse grid spacing.
+    ``n_traj`` is an integer in ``[1, 2**25]`` and ``seed`` one in
+    ``[0, 2**64)``; numpy integers will do.  The step is not a parameter:
+    each pulse segment runs ``ceil(pulse dt / bound)`` equal steps, with
+    ``bound`` the least of the pulse grid spacing, ``t_c / 10`` (colored
+    noise, :attr:`BathModel.max_step`) and ``0.01 / omega0`` (splitting
+    resolution of a driven even sector, ``rwa = False``).
     """
 
     n_traj: int
     seed: int = 0
-    dt: float | None = None
     rwa: bool = True
 
     def __post_init__(self):
+        for name in ("n_traj", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 1 <= self.n_traj <= _MAX_TRAJ:
             raise ValueError(f"n_traj must lie in [1, {_MAX_TRAJ}], got {self.n_traj}")
         # Philox keys take the seed as one 64-bit word.
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.dt is not None and not 0.0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -95,14 +98,12 @@ class FidelityEstimate:
     n_traj: int
 
 
-def _resolve_steps(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig):
+def _resolve_steps(p: Pulse, b: BathModel, omega0: float, rwa: bool):
+    """Steps per pulse segment and their length, at the admissible bound."""
     bound = min(p.dt, b.max_step)
-    if omega0 > 0.0 and not cfg.rwa:
+    if omega0 > 0.0 and not rwa:
         bound = min(bound, 0.01 / omega0)
-    target = cfg.dt if cfg.dt is not None else 0.5 * bound
-    if target > bound * (1.0 + 1e-12):
-        raise ValueError(f"dt too coarse: {target} exceeds the admissible bound {bound}")
-    per_segment = max(1, int(np.ceil(p.dt / target - 1e-12)))
+    per_segment = int(np.ceil(p.dt / bound))
     return per_segment, p.dt / per_segment
 
 
@@ -196,13 +197,13 @@ def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) 
     """
     if not 0.0 <= omega0 < np.inf:
         raise ValueError(f"omega0 must be finite and nonnegative, got {omega0}")
-    per_segment, dt = _resolve_steps(p, b, omega0, cfg)
+    per_segment, dt = _resolve_steps(p, b, omega0, cfg.rwa)
     m = p.n_segments * per_segment
     chunk = min(_CHUNK_TRAJ, cfg.n_traj, _NOISE_BLOCK_BYTES // (8 * m))
     if chunk < 1:
         raise ValueError(
             f"oracle step grid too fine: the noise of one trajectory's {m} steps exceeds the "
-            f"{_NOISE_BLOCK_BYTES // (1 << 20)} MiB noise-block limit; use a larger dt")
+            f"{_NOISE_BLOCK_BYTES // (1 << 20)} MiB noise-block limit")
     v_steps = np.repeat(p.amplitudes(), per_segment)
 
     noise_buffer = np.empty((m, chunk))

@@ -44,7 +44,8 @@ the best start wins, with ties broken by that fixed order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -78,8 +79,8 @@ class OptimizationProblem:
     the budget's energy and runs from the same start templates.  The design
     is meaningful only when the grid step ``t_f / grid_n`` resolves the
     memory, at most ``t_c / 10`` (:attr:`BathModel.max_step`); a coarser
-    grid is not rejected, but its bath term is wrong.  ``grid_n`` is at
-    most ``2**20``.
+    grid is not rejected, but its bath term is wrong.  ``grid_n`` is an
+    integer (numpy integers will do) of at most ``2**20``.
     """
 
     bath: BathModel
@@ -97,6 +98,8 @@ class OptimizationProblem:
         for name in ("omega0", "leak_weight"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
+        if not isinstance(self.grid_n, numbers.Integral):
+            raise ValueError(f"grid_n must be an integer, got {self.grid_n!r}")
         if not 2 <= self.grid_n <= _MAX_GRID_N:
             raise ValueError(f"grid_n must lie in [2, {_MAX_GRID_N}], got {self.grid_n}")
 
@@ -151,16 +154,16 @@ class _Plan:
     Holds the feasible set as a sphere of phase increments ``d = c + r u``
     (the variables are ``w``; ``u`` is the unit vector along the mean-free
     part of ``w``), the bath form of the grid and whether the leakage term
-    is on.
+    is on: it is when ``omega0 > 0`` and ``leak_weight > 0``.
     """
 
-    def __init__(self, prob: OptimizationProblem, include_leakage: bool):
+    def __init__(self, prob: OptimizationProblem):
         self.prob = prob
         self.n = prob.grid_n
         self.dt = prob.t_f / self.n
         self.c = HALF_PI / self.n
         self.r = float(np.sqrt(max(prob.budget.energy * prob.t_f - HALF_PI * HALF_PI, 0.0) / self.n))
-        self.leakage = include_leakage and prob.omega0 > 0.0 and prob.leak_weight > 0.0
+        self.leakage = prob.omega0 > 0.0 and prob.leak_weight > 0.0
         self.bath = _BathForm(prob.bath, self.n + 1, self.dt)
 
     def start(self, phi0: np.ndarray) -> np.ndarray:
@@ -261,8 +264,8 @@ def _solve_from(plan: _Plan, phi0: np.ndarray, label: str) -> OptimizationResult
     return _result(plan, phi, label, int(res.nit), converged)
 
 
-def _optimize(prob: OptimizationProblem, include_leakage: bool) -> OptimizationResult:
-    plan = _Plan(prob, include_leakage)
+def _optimize(prob: OptimizationProblem) -> OptimizationResult:
+    plan = _Plan(prob)
     if plan.r == 0.0:
         # t_f = t_min: the ramp is the only feasible pulse.
         phi = np.linspace(0.0, HALF_PI, prob.grid_n + 1)
@@ -273,15 +276,15 @@ def _optimize(prob: OptimizationProblem, include_leakage: bool) -> OptimizationR
 
 
 def optimize_rwa(prob: OptimizationProblem) -> OptimizationResult:
-    """Minimise the bath infidelity alone (no leakage term)."""
-    return _optimize(prob, include_leakage=False)
+    """Minimise the bath infidelity alone: the design of ``prob`` at ``omega0 = 0``."""
+    return _optimize(replace(prob, omega0=0.0))
 
 
 def optimize_with_leakage(prob: OptimizationProblem) -> OptimizationResult:
     """Minimise bath infidelity plus ``leak_weight * |amp_ee(t_f)|^2``."""
     if prob.omega0 <= 0.0:
         raise ValueError("optimize_with_leakage requires omega0 > 0")
-    return _optimize(prob, include_leakage=True)
+    return _optimize(prob)
 
 
 def sweep_final_time(bath: BathModel, budget: EnergyBudget, t_f_list, opts: dict | None = None):
@@ -306,7 +309,7 @@ def _sweep_point(prob: OptimizationProblem) -> SweepRecord:
     t_min = prob.budget.t_min
     scaled = dict(tf_over_tmin=prob.t_f / t_min, tc_over_tmin=prob.bath.t_c / t_min)
     try:
-        res = _optimize(prob, include_leakage=prob.omega0 > 0.0)
+        res = _optimize(prob)
     except (ValueError, ArithmeticError) as exc:
         nan = float("nan")
         return SweepRecord(infidelity=nan, energy=nan, max_phi=nan, converged=False,

@@ -220,7 +220,7 @@ class TestSweep:
         assert exc.value.code == 2
 
     def test_failed_point_reason_on_stderr(self, capsys, tmp_path, monkeypatch):
-        def failing(prob, include_leakage):
+        def failing(prob):
             raise FloatingPointError("overflow in the inner solve")
 
         monkeypatch.setattr(xferopt.optimizer, "_optimize", failing)
@@ -247,7 +247,7 @@ class TestSweep:
         assert list(tmp_path.iterdir()) == []
 
     def test_uncreatable_directory_rejected_before_any_design(self, capsys, tmp_path, monkeypatch):
-        def no_design(prob, include_leakage):
+        def no_design(prob):
             raise AssertionError("a design ran")
 
         monkeypatch.setattr(xferopt.optimizer, "_optimize", no_design)
@@ -280,7 +280,6 @@ class TestMarkovianCmd:
     (["leakage", "--omega0", "inf"], "omega0"),
     (["evaluate", "--omega0", "nan"], "omega0"),
     (["oracle", "--omega0", "nan"], "omega0"),
-    (["oracle", "--dt", "nan"], "dt"),
     (["oracle", "--seed", str(2 ** 64)], "seed"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_non_finite_input_rejected_before_any_work(capsys, tmp_path, fast_pulse_file, argv, name):
@@ -331,7 +330,7 @@ def test_unresolved_memory_rejected_before_any_work(capsys, tmp_path, fast_pulse
 @pytest.mark.parametrize("command", ["optimize", "sweep"])
 def test_huge_grid_rejected_before_any_work(capsys, tmp_path, monkeypatch, command):
     # 1e9 segments would need 8 GB for one grid array; no design may start.
-    def no_design(prob, include_leakage):
+    def no_design(prob):
         raise AssertionError("a design ran")
 
     monkeypatch.setattr(xferopt.optimizer, "_optimize", no_design)
@@ -393,14 +392,21 @@ class TestOracleCmd:
         assert out.out == ""
         assert line.split("=")[0] in out.err
 
+    def test_step_is_not_a_flag(self, capsys, fast_pulse_file):
+        # The oracle steps at its admissible bound; no flag sets the step.
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--pulse", fast_pulse_file, "--gamma", "0.04", "--dt", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dt 0.1" in capsys.readouterr().err
+
     def test_long_pulse_at_short_memory_runs_in_smaller_chunks(self, capsys, tmp_path, monkeypatch):
         # 12032 segments over t_f = 12 (dt = 9.97e-4, within t_c/10) at
-        # t_c = 0.01 take 24064 steps.  A limit admitting 2 trajectories'
+        # t_c = 0.01 take 12032 steps.  A limit admitting 2 trajectories'
         # noise stands in for the 256 MiB one, which at that step count
-        # admits 1394 of the default 10000 trajectories.
+        # admits 2788 of the default 10000 trajectories.
         path = tmp_path / "ramp.csv"
         xo.write_pulse_csv(xo.make_pulse(np.linspace(0.0, np.pi / 2, 12033), 12.0), path)
-        monkeypatch.setattr(xferopt.montecarlo, "_NOISE_BLOCK_BYTES", 8 * 24064 * 2)
+        monkeypatch.setattr(xferopt.montecarlo, "_NOISE_BLOCK_BYTES", 8 * 12032 * 2)
         code, out, _ = run(capsys, ["oracle", "--pulse", str(path), "--gamma", "0.04", "--t-c", "0.01",
                                     "--n-traj", "3"])
         assert code == 0
@@ -417,8 +423,10 @@ class TestOracleCmd:
         assert err.startswith("error: n_traj must lie in [1, 33554432]")
 
     def test_oversized_step_grid_rejected(self, capsys, fast_pulse_file):
+        # The driven even sector at omega0 = 1e7 needs steps of 1e-9: one
+        # trajectory's noise on the 256-segment ramp takes 7.5 GiB.
         code, out, err = run(capsys, [
-            "oracle", "--pulse", fast_pulse_file, "--gamma", "0.04", "--t-c", "0", "--dt", "1e-9",
+            "oracle", "--pulse", fast_pulse_file, "--gamma", "0.04", "--t-c", "0", "--no-rwa", "--omega0", "1e7",
         ])
         assert code == 2
         assert out == ""

@@ -133,23 +133,6 @@ class TestOptimalPulse:
         assert max(products) - min(products) <= 1e-6 * min(products)
 
 
-def optimum_infidelity(gamma, energy):
-    """Closed-form optimal memoryless infidelity ``gamma e_M^2 / E``."""
-    return gamma * xo.solve_markovian_profile().e_m ** 2 / energy
-
-
-class TestOptimumInfidelity:
-    def test_zero_gamma(self):
-        assert optimum_infidelity(0.0, 1.0) == 0.0
-
-    def test_coefficient(self):
-        val = optimum_infidelity(1.0, 1.0)
-        assert val == pytest.approx(1.077, abs=2e-3)
-
-    def test_energy_scaling(self):
-        assert optimum_infidelity(0.3, 2.0) == pytest.approx(0.5 * optimum_infidelity(0.3, 1.0), rel=1e-14)
-
-
 def test_numerical_optimum_matches_profile(markovian_opt_12, budget, profile):
     # The numerically optimised pulse at t_f = 12 t_min matches the analytic
     # profile pointwise within 2e-2 rad after a small time alignment.

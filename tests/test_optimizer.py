@@ -34,6 +34,13 @@ class TestProblemValidation:
             with pytest.raises(ValueError, match=r"^grid_n must lie in \[2, 1048576\]"):
                 small_problem(n=n)
 
+    def test_grid_n_is_an_integer(self):
+        # Rejected by the problem, not by np.linspace after set-up.
+        for n in (16.5, 16.0, "16"):
+            with pytest.raises(ValueError, match=r"^grid_n must be an integer"):
+                small_problem(n=n)
+        assert small_problem(n=np.int64(16)).grid_n == 16
+
 
 class TestMinimumTime:
     def test_unique_feasible_point_is_the_ramp(self):
@@ -99,7 +106,7 @@ class TestSphere:
         w = offset + scale * z
         assume(np.ptp(w) > 0.0)
         prob = small_problem(t_f=tf_ratio, n=n)
-        phi, _, _ = _Plan(prob, include_leakage=False).phases(w)
+        phi, _, _ = _Plan(prob).phases(w)
         assert phi[0] == 0.0
         assert phi[-1] == np.pi / 2
         used = xo.pulse_energy(xo.make_pulse(phi, prob.t_f))
@@ -114,7 +121,7 @@ class TestSphere:
     )
     def test_gradient_matches_central_differences(self, n, tf_ratio, t_c, omega0, seed):
         prob = small_problem(t_c=t_c, t_f=tf_ratio, n=n, omega0=omega0)
-        plan = _Plan(prob, include_leakage=True)
+        plan = _Plan(prob)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=n)
         tangent = rng.normal(size=n)  # mean-free and orthogonal to u
@@ -180,7 +187,7 @@ class TestEvaluationIsBitwise:
         prob = xo.OptimizationProblem(bath=xo.BathModel(gamma=gamma, t_c=t_c), budget=xo.EnergyBudget(ENERGY),
                                       t_f=4.0, omega0=omega0, grid_n=n)
         j_ref = 3.7e-3
-        fun = _Plan(prob, include_leakage=True).scaled(j_ref)
+        fun = _Plan(prob).scaled(j_ref)
         rng = np.random.default_rng(n)
         # Several draws through one plan: its buffers carry nothing over.
         for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
@@ -209,6 +216,14 @@ class TestLeakagePath:
         np.testing.assert_array_equal(r_rwa.pulse.phases, r_w0.pulse.phases)
         assert r_w0.breakdown.leakage_penalty == 0.0
 
+    def test_rwa_design_ignores_the_splitting(self):
+        # optimize_rwa designs the problem at omega0 = 0, whatever its omega0.
+        base = dict(t_c=1.0, t_f=3.0, n=96)
+        r_0 = xo.optimize_rwa(small_problem(**base))
+        r_pi = xo.optimize_rwa(small_problem(omega0=np.pi, **base))
+        np.testing.assert_array_equal(r_0.pulse.phases, r_pi.pulse.phases)
+        assert r_0.breakdown == r_pi.breakdown
+
     def test_requires_splitting(self):
         with pytest.raises(ValueError, match="omega0"):
             xo.optimize_with_leakage(small_problem(t_f=3.0))
@@ -218,7 +233,7 @@ class TestLeakagePath:
         # Includes the leakage term, so this exercises the exact even-sector
         # gradient end to end; checked at every stride-th interior phase.
         prob = small_problem(t_c=0.8, t_f=2.0, n=n, omega0=2.0, leak_weight=0.5)
-        plan = _Plan(prob, include_leakage=True)
+        plan = _Plan(prob)
         rng = np.random.default_rng(8)
         phi = np.linspace(0, np.pi / 2, n + 1)
         phi[1:-1] += rng.normal(0, 0.05, n - 1)
@@ -262,7 +277,7 @@ def test_every_start_converges_to_one_optimum(leakage):
     # cannot improve in floating point; the projected gradient still counts
     # them as converged.
     prob = small_problem(t_c=10.0, t_f=10.0, n=512, **leakage)
-    plan = _Plan(prob, include_leakage=bool(leakage))
+    plan = _Plan(prob)
     results = [optimizer._solve_from(plan, optimizer._template_phases(label, prob), label)
                for label in optimizer._STARTS]
     best = min(r.breakdown.total for r in results)
@@ -326,7 +341,7 @@ class TestSweep:
         np.testing.assert_array_equal(recs[0].pulse.phases, recs[1].pulse.phases)
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(prob, include_leakage):
+        def broken(prob):
             raise TypeError("unexpected argument")
 
         monkeypatch.setattr(optimizer, "_optimize", broken)
@@ -335,7 +350,7 @@ class TestSweep:
             xo.sweep_final_time(bath, xo.EnergyBudget(ENERGY), [2.0], {"grid_n": 32})
 
     def test_numerical_error_recorded(self, monkeypatch):
-        def failing(prob, include_leakage):
+        def failing(prob):
             raise ValueError("inner solve diverged")
 
         monkeypatch.setattr(optimizer, "_optimize", failing)
