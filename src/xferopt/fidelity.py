@@ -21,8 +21,8 @@ with the modulation spectrum
     T[x](w) = integral_0^t x(tau) e^{-i w tau} dtau.
 
 Both routes discretise the time integrals by the trapezoid rule on the pulse
-grid, so they evaluate the same quadratic form and agree to quadrature
-accuracy; they serve as mutual cross-checks.  The time-domain route is the
+grid, so they evaluate the same quadratic form and agree to rounding; they
+serve as mutual cross-checks.  The time-domain route is the
 production path, written once in :class:`_BathForm`: the quadratic form and
 its exact gradient in one pass, with both integrands as the two columns of
 one O(N) kernel product through the grid's kernel factor
@@ -32,14 +32,8 @@ one grid: it holds the trapezoid weights, the factor and its buffers, so
 the optimiser builds one per design problem and evaluates every step from
 it, while :func:`bath_value_grad`, which every time-domain entry point
 calls, builds a one-off form per call.  Both give the same bits.  The
-frequency route factors each transform in two
-levels: with sample index ``k = q B + r`` and ``B ~ sqrt(N)``, a table of
-``e^{-i omega r dt}`` (B entries per frequency) feeds one matrix product
-with the blocked samples of both integrands, and a table of
-``e^{-i omega q B dt}`` (N/B entries) combines the block sums, so a
-frequency node costs ~2 sqrt(N) complex exponentials instead of N.  The
-tables are built in slices of frequency nodes, so the memory stays bounded
-at any grid size.
+frequency route (:func:`infidelity_freq`) is a finite sum on the DFT grid
+of twice the sample count, exact and O(N) in memory.
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .bath import BathModel, _ExpFactor
 from .pulse import Pulse
@@ -192,123 +185,61 @@ def infidelity_gradient(p: Pulse, b: BathModel) -> np.ndarray:
     return bath_value_grad(p.phases, p.dt, b)[1]
 
 
-# Byte budget of one slice of frequency nodes: its two phase tables and the
-# block sums of both integrands, 16 (B + 3 Q) bytes per node.
-_FREQ_SLICE_BYTES = 1 << 22
+def _spectrum(phases: np.ndarray, dt: float) -> np.ndarray:
+    """Modulation spectrum ``F(t_f, omega_k)`` of the ``n`` grid phases at ``omega_k = pi k / (n dt)``, ``k = 0 .. n``.
 
-
-def _block_shape(n_samples: int):
-    """Block length ``B ~ sqrt(n)`` and block count ``Q`` of the two-level transform."""
-    block = int(np.ceil(np.sqrt(n_samples)))
-    return block, -(-n_samples // block)
-
-
-def _finite_transforms(phases: np.ndarray, dt: float, omegas: np.ndarray):
-    """Trapezoid finite-time transforms of x1, x2 of the grid phases at the given frequencies.
-
-    The samples sit at ``t_k = k dt``; with ``k = q B + r`` the transform
-    factors as ``T(w) = sum_q e^{-i w q B dt} sum_r y_{qB+r} e^{-i w r dt}``.
-    The inner sums of both integrands are one real-by-complex product of the
-    zero-padded ``(2Q, B)`` sample blocks with the ``(B, W)`` table of
-    ``e^{-i w r dt}``, the outer sum a row-wise dot with the ``(Q, W)`` table
-    of ``e^{-i w q B dt}``: ``W (B + Q)`` exponentials instead of ``W n``.
+    The zero-padded ``2n``-point DFT of the trapezoid-weighted integrands.
     """
     n = phases.size
-    block, count = _block_shape(n)
-    y = np.zeros((2, count * block))
-    y[:, :n] = _trap_weights(n, dt) * np.stack(_integrands(phases))
-    y = y.reshape(2 * count, block)
-    inner_t = np.arange(block) * dt
-    outer_t = np.arange(0, count * block, block) * dt
-    out = np.empty((2, omegas.size), dtype=complex)
-    rows = max(1, _FREQ_SLICE_BYTES // (16 * (block + 3 * count)))
-    for lo in range(0, omegas.size, rows):
-        arg = -1j * omegas[lo : lo + rows]
-        inner = np.outer(inner_t, arg)
-        np.exp(inner, out=inner)
-        # Real (2Q, B) times complex (B, W) read as real (B, 2W): one GEMM.
-        sums = (y @ inner.view(float)).view(complex).reshape(2, count, arg.size)
-        outer = np.outer(outer_t, arg)
-        np.exp(outer, out=outer)
-        out[:, lo : lo + rows] = np.einsum("qw,sqw->sw", outer, sums)
-        # Free this slice's tables before the next slice builds its own.
-        del inner, sums, outer
-    return out[0], out[1]
-
-
-def _spectrum(phases: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
-    """Modulation spectrum ``F(t_f, omega)`` of the grid phases at the given frequencies."""
-    t1, t2 = _finite_transforms(phases, dt, omegas)
-    return X1_WEIGHT * np.abs(t1) ** 2 + X2_WEIGHT * np.abs(t2) ** 2
-
-
-# Gauss-Legendre nodes per panel of the spectral-overlap quadrature.
-_GL_ORDER = 24
-
-
-def _gl_nodes(edges: np.ndarray):
-    xg, wg = leggauss(_GL_ORDER)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
-
-
-def _peak_refined_edges(lo: float, hi: float, scale: float, n_base: int) -> np.ndarray:
-    """Panel edges on [lo, hi], geometrically refined near ``lo`` at ``scale``."""
-    base = np.linspace(lo, hi, n_base + 1)
-    if scale <= 0.0 or scale >= (hi - lo) / n_base:
-        return base
-    refine = [lo]
-    e = lo + scale / 4.0
-    while e < base[1]:
-        refine.append(e)
-        e *= 2.0
-    return np.unique(np.concatenate((refine, base)))
+    y = _trap_weights(n, dt) * np.stack(_integrands(phases))
+    t = np.fft.rfft(y, 2 * n)
+    f = t.real ** 2
+    f += t.imag ** 2
+    return X1_WEIGHT * f[0] + X2_WEIGHT * f[1]
 
 
 def infidelity_freq(p: Pulse, b: BathModel) -> float:
-    """Spectral-overlap infidelity ``integral G(omega) F(t_f, omega) d omega``.
+    """Spectral-overlap infidelity: the time-domain form as an exact sum on a DFT grid.
 
-    Documented to agree with :func:`infidelity_time`: the integral runs over
-    one spectral period of the grid transforms against the alias-folded
-    kernel spectrum, an exact identity with the time-domain quadratic form
-    up to quadrature error.  The quadrature takes 24 Gauss-Legendre nodes on
-    each of ``max(4, N/8 + 2)`` panels of ``[0, pi/dt]``, refined
-    geometrically towards 0 when the kernel spectrum's width ``1/t_c`` is
-    narrower than a panel.
+    On the ``2n``-point grid ``theta_k = omega_k dt = pi k / n`` of the ``n``
+    samples, with ``F_k`` from :func:`_spectrum`, the form is
+    ``(1/2n) [F_0 S_0 + F_n S_n + 2 sum_{k=1}^{n-1} F_k S_k]``.  ``|T|^2`` has
+    lags ``|m| <= n - 1`` only, and ``S_k`` is the kernel's DFT over those
+    lags: the alias-folded Lorentzian ``c0 (1 - rho^2) / (1 - 2 rho cos theta + rho^2)``
+    less its tail past lag ``n - 1``,
+    ``2 c0 (-1)^k rho^n (1 - rho cos theta) / (1 - 2 rho cos theta + rho^2)``.
+    ``F S`` has degree ``2n - 2 < 2n``, so the sum is exact.
 
-    At ``t_c = 0`` the spectrum is flat, ``D / (2 pi)`` with ``D = gamma``,
-    and by Parseval the overlap is ``D sum_k w_k^2 x_k^2 / dt``
-    (trapezoid weights ``w_k``), while the white kernel's form is
-    ``D sum_k w_k x_k^2``.  At the half-weight endpoints ``w - w^2/dt = dt/4``,
-    so ``D (dt/4) [(2/3) x1^2 + (1/2) x2^2]`` is added at ``t = 0`` and ``t_f``.
+    At ``t_c = 0``, ``S = gamma / dt`` is flat and the sum is
+    ``gamma sum_k w_k^2 x_k^2 / dt`` (trapezoid weights ``w_k``), while the
+    white kernel's form is ``gamma sum_k w_k x_k^2``: the half-weight
+    endpoints, where ``w - w^2/dt = dt/4``, add ``gamma (dt/4) [(2/3) x1^2 + (1/2) x2^2]``.
     """
     if b.gamma == 0.0:
         return 0.0
     dt = p.dt
-    n_base = max(4, (p.phases.size + 7) // 8 + 2)
-
-    omega_nyq = np.pi / dt
-    ends = 0.0
+    n = p.phases.size
+    f = _spectrum(p.phases, dt)
+    f[0] *= 0.5
+    f[-1] *= 0.5
     if b.is_markovian:
-        edges = np.linspace(0.0, omega_nyq, n_base + 1)
-        nodes, weights = _gl_nodes(edges)
-        gvals = np.full(nodes.size, 0.5 * b.gamma / np.pi)
         x1, x2 = _integrands(p.phases[[0, -1]])
-        ends = b.gamma * dt / 4.0 * float(np.sum(X1_WEIGHT * x1 * x1 + X2_WEIGHT * x2 * x2))
-    else:
-        r = dt / b.t_c
-        edges = _peak_refined_edges(0.0, omega_nyq, 1.0 / b.t_c, n_base)
-        nodes, weights = _gl_nodes(edges)
-        # Alias-folded Lorentzian: sum_m G(w + 2 pi m / dt) = scale sinh r / (cosh r - cos(w dt)),
-        # with numerator and denominator times 2 rho, rho = e^-r, so that no term overflows.
-        scale = 0.5 * b.gamma * dt / (2.0 * np.pi * b.t_c)
-        denom = np.expm1(-r) ** 2 + 4.0 * np.exp(-r) * np.sin(nodes * dt / 2.0) ** 2
-        gvals = scale * -np.expm1(-2.0 * r) / denom
-
-    return 2.0 * float(np.sum(weights * gvals * _spectrum(p.phases, dt, nodes))) + ends
+        ends = dt / 4.0 * float(np.sum(X1_WEIGHT * x1 * x1 + X2_WEIGHT * x2 * x2))
+        return b.gamma * (float(np.sum(f)) / (n * dt) + ends)
+    # With rho = e^-r and s = sin^2(theta / 2), S_k / c0 has the denominator
+    # (1 - rho)^2 + 4 rho s and the numerator a (1 + rho - 2 (-1)^k rho^n) - 4 (-1)^k rho^(n+1) s,
+    # a = 1 - rho.  At even k, 1 + rho - 2 rho^n = (1 - rho^n) + rho (1 - rho^(n-1)), so the
+    # peak k = 0 does not cancel as rho -> 1; at odd k every term is positive.
+    r = dt / b.t_c
+    a = -np.expm1(-r)
+    rho = np.exp(-r)
+    rho_n = np.exp(-n * r)
+    s = np.sin(np.arange(n + 1) * (0.5 * np.pi / n)) ** 2
+    num = 4.0 * rho * rho_n * s
+    num[0::2] = a * -(np.expm1(-n * r) + rho * np.expm1(-(n - 1) * r)) - num[0::2]
+    num[1::2] += a * (1.0 + rho + 2.0 * rho_n)
+    kernel = num / (a * a + 4.0 * rho * s)
+    return b.gamma * (0.5 / b.t_c * float(np.dot(f, kernel)) / n)
 
 
 def bath_infidelity(p: Pulse, b: BathModel) -> float:

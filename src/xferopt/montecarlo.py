@@ -35,7 +35,9 @@ rotations of all trajectories from one
 :func:`xferopt.leakage.segment_rotation` call (one more for a driven even
 sector) and updates the amplitudes in preallocated buffers.  Under RWA the
 undriven even sector is the pure phase ``exp(i dt sum_k (omega0 + b_k))``,
-computed once from the running noise sum.  Every operation acts on each
+whose ``omega0`` part the frame correction cancels exactly, so the ground
+amplitude is ``exp(i dt sum_k b_k)``, computed once from the running noise
+sum.  Every operation acts on each
 trajectory alone, so a trajectory's fidelity does not depend on the chunk
 it falls in.
 """
@@ -68,8 +70,9 @@ _BLOCK_STEPS = 8
 class OracleConfig:
     """Monte-Carlo run parameters.
 
-    ``n_traj`` is an integer in ``[1, 2**25]`` and ``seed`` one in
-    ``[0, 2**64)``; numpy integers will do.  The step is not a parameter:
+    ``n_traj`` is an integer in ``[1, 2**25]``, ``seed`` one in
+    ``[0, 2**64)`` and ``rwa`` a bool; numpy integers and bools will do,
+    but a bool is not an integer here.  The step is not a parameter:
     each pulse segment runs ``ceil(pulse dt / bound)`` equal steps, with
     ``bound`` the least of the pulse grid spacing, ``t_c / 10`` (colored
     noise, :attr:`BathModel.max_step`) and ``0.01 / omega0`` (splitting
@@ -82,8 +85,11 @@ class OracleConfig:
 
     def __post_init__(self):
         for name in ("n_traj", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.rwa, (bool, np.bool_)):
+            raise ValueError(f"rwa must be a bool, got {self.rwa!r}")
         if not 1 <= self.n_traj <= _MAX_TRAJ:
             raise ValueError(f"n_traj must lie in [1, {_MAX_TRAJ}], got {self.n_traj}")
         # Philox keys take the seed as one 64-bit word.
@@ -103,7 +109,14 @@ def _resolve_steps(p: Pulse, b: BathModel, omega0: float, rwa: bool):
     bound = min(p.dt, b.max_step)
     if omega0 > 0.0 and not rwa:
         bound = min(bound, 0.01 / omega0)
-    per_segment = int(np.ceil(p.dt / bound))
+    per_segment = float(np.ceil(p.dt / bound))
+    # Checked as a float: a huge omega0 makes the count too large for an int, or inf.
+    m = p.n_segments * per_segment
+    if 8.0 * m > _NOISE_BLOCK_BYTES:
+        raise ValueError(
+            f"oracle step grid too fine: the noise of one trajectory's {m:.3g} steps exceeds the "
+            f"{_NOISE_BLOCK_BYTES // (1 << 20)} MiB noise-block limit")
+    per_segment = int(per_segment)
     return per_segment, p.dt / per_segment
 
 
@@ -176,12 +189,11 @@ def _propagate(noise: np.ndarray, v_steps: np.ndarray, dt: float, omega0: float,
     if np.max(np.abs(norm_odd - 1.0)) > NORM_TOL:
         raise RuntimeError("odd-sector norm drifted beyond tolerance")
     if rwa:
-        u0 = np.exp(1j * dt * (m * omega0 + z_sum))
-    else:
-        u0, u1 = even.amp
-        norm_even = np.abs(u0) ** 2 + np.abs(u1) ** 2
-        if np.max(np.abs(norm_even - 1.0)) > NORM_TOL:
-            raise RuntimeError("even-sector norm drifted beyond tolerance")
+        return np.exp(1j * dt * z_sum), v0
+    u0, u1 = even.amp
+    norm_even = np.abs(u0) ** 2 + np.abs(u1) ** 2
+    if np.max(np.abs(norm_even - 1.0)) > NORM_TOL:
+        raise RuntimeError("even-sector norm drifted beyond tolerance")
     return np.exp(-1j * omega0 * t_f) * u0, v0
 
 
@@ -200,10 +212,6 @@ def simulate_transfer(p: Pulse, b: BathModel, omega0: float, cfg: OracleConfig) 
     per_segment, dt = _resolve_steps(p, b, omega0, cfg.rwa)
     m = p.n_segments * per_segment
     chunk = min(_CHUNK_TRAJ, cfg.n_traj, _NOISE_BLOCK_BYTES // (8 * m))
-    if chunk < 1:
-        raise ValueError(
-            f"oracle step grid too fine: the noise of one trajectory's {m} steps exceeds the "
-            f"{_NOISE_BLOCK_BYTES // (1 << 20)} MiB noise-block limit")
     v_steps = np.repeat(p.amplitudes(), per_segment)
 
     noise_buffer = np.empty((m, chunk))

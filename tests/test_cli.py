@@ -432,6 +432,17 @@ class TestOracleCmd:
         assert out == ""
         assert err.startswith("error: oracle step grid too fine:") and "256 MiB" in err
 
+    @pytest.mark.parametrize("omega0", ["1e306", "1e308"])
+    def test_huge_omega0_is_a_usage_error(self, capsys, fast_pulse_file, omega0):
+        # A step count past any int (or inf) is a usage error with a short
+        # message, not an OverflowError or a 300-digit count.
+        code, out, err = run(capsys, [
+            "oracle", "--pulse", fast_pulse_file, "--gamma", "0.04", "--no-rwa", "--omega0", omega0,
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: oracle step grid too fine:") and len(err) < 200
+
 
 # The commands that take the bath flags, without --gamma.
 BATH_COMMANDS = [

@@ -82,6 +82,17 @@ class TestDeterminism:
         r2 = xo.simulate_transfer(p, b, 0.0, cfg)
         assert (r1.mean, r1.stderr) == (r2.mean, r2.stderr)
 
+    @pytest.mark.parametrize("t_c", [0.0, 1.0])
+    def test_rwa_estimate_does_not_depend_on_omega0(self, budget, t_c):
+        # Under RWA the frame correction cancels the splitting's phase exactly,
+        # so no rounding of omega0 t_f enters the estimate.
+        p = xo.fastest_pulse(budget, 64)
+        b = xo.BathModel(gamma=0.05, t_c=t_c)
+        cfg = xo.OracleConfig(n_traj=64, seed=3)
+        want = xo.simulate_transfer(p, b, 0.0, cfg)
+        for omega0 in (np.pi, 1e6, 1e9):
+            assert xo.simulate_transfer(p, b, omega0, cfg) == want
+
 
 class TestValidation:
     def test_omega0_outside_range_rejected(self, budget):
@@ -109,8 +120,18 @@ class TestValidation:
         # trajectory, rejected before any allocation.
         p = xo.fastest_pulse(budget, 256)
         b = xo.BathModel(gamma=0.04, t_c=0.0)
-        with pytest.raises(ValueError, match=r"one trajectory's 1000000000 steps exceeds the 256 MiB"):
+        with pytest.raises(ValueError, match=r"one trajectory's 1e\+09 steps exceeds the 256 MiB"):
             xo.simulate_transfer(p, b, 1e7, xo.OracleConfig(n_traj=2, rwa=False))
+
+    @pytest.mark.parametrize("omega0", [1e306, 1e308])
+    def test_huge_omega0_rejected_with_a_short_message(self, budget, omega0):
+        # The step count, 1e308 or inf (0.01 / 1e308 is subnormal), is checked
+        # as a float: neither an OverflowError from int() nor a 300-digit count.
+        p = xo.fastest_pulse(budget, 256)
+        b = xo.BathModel(gamma=0.04, t_c=0.0)
+        with pytest.raises(ValueError, match="^oracle step grid too fine") as info:
+            xo.simulate_transfer(p, b, omega0, xo.OracleConfig(n_traj=2, rwa=False))
+        assert len(str(info.value)) < 200
 
     @pytest.mark.parametrize("t_c, omega0, rwa", [(1.0, 0.0, True), (0.0, 1.6, False)])
     def test_chunk_shrinks_to_the_noise_block_limit(self, budget, monkeypatch, t_c, omega0, rwa):
@@ -148,11 +169,25 @@ class TestValidation:
                 xo.OracleConfig(n_traj=1, seed=seed)
 
     @pytest.mark.parametrize("field, value", [("n_traj", 2.5), ("n_traj", 64.0), ("seed", 1.9), ("seed", 1.5),
-                                              ("seed", "1")])
+                                              ("seed", "1"), ("n_traj", True), ("seed", False)])
     def test_non_integer_rejected(self, field, value):
-        # Rejected by the config, not run as seed 1's stream or failing in np.empty.
+        # Rejected by the config, not run as seed 1's stream or failing in
+        # np.empty; a bool is an Integral to Python, but not a count or a seed.
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             xo.OracleConfig(**{"n_traj": 64, field: value})
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_rwa_must_be_a_bool(self, value):
+        # "false" is truthy: it would run the RWA path.
+        with pytest.raises(ValueError, match="^rwa must be a bool"):
+            xo.OracleConfig(n_traj=2, rwa=value)
+
+    def test_numpy_bool_rwa_accepted(self, budget):
+        p = xo.fastest_pulse(budget, 16)
+        b = xo.BathModel(gamma=0.05, t_c=1.0)
+        for flag in (False, True):
+            want = xo.simulate_transfer(p, b, np.pi, xo.OracleConfig(n_traj=8, rwa=flag))
+            assert xo.simulate_transfer(p, b, np.pi, xo.OracleConfig(n_traj=8, rwa=np.bool_(flag))) == want
 
     def test_numpy_integers_accepted(self, budget):
         p = xo.fastest_pulse(budget, 16)
