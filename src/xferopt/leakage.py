@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .pulse import Pulse, make_pulse, pulse_energy
 
@@ -263,6 +262,8 @@ def minimal_corrector_energy(omega0: float, psi_ee: float, available_time: float
     if n > _MAX_CORRECTOR_SEGMENTS:
         raise ValueError(f"available_time = {available_time} needs {n} segments at 64 per drive period, "
                          f"more than {_MAX_CORRECTOR_SEGMENTS}")
+    from scipy.optimize import minimize  # here, so that importing xferopt leaves scipy.optimize unloaded
+
     init = (np.sqrt(1.0 - psi_ee ** 2), psi_ee)
 
     def residual(a, chi):

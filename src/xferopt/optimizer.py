@@ -9,9 +9,10 @@ all-ones vector, centred on the ramp ``c = pi / (2N)``, of radius
     r = sqrt((E t_f - pi^2 / 4) / N),
 
 zero at ``t_f = t_min`` (the discrete Cauchy-Schwarz bound of
-:class:`xferopt.pulse.EnergyBudget`).  Each start is one L-BFGS-B run on the
-free ``w`` of ``d = c + r u``, ``u = P w / |P w|`` (``P`` removes the mean):
-every iterate meets both constraints to rounding, with exact endpoints.
+:class:`xferopt.pulse.EnergyBudget`).  Each start is one limited-memory BFGS
+run (:func:`minimize`) on the free ``w`` of ``d = c + r u``, ``u = P w / |P w|``
+(``P`` removes the mean): every iterate meets both constraints to rounding,
+with exact endpoints.
 The energy is fixed, as in the paper's problem for a given transfer
 energy.  No positivity is imposed on ``V``:
 overshooting solutions need sign changes on the return path.  This is
@@ -28,7 +29,7 @@ then projection onto the sphere's tangent space.
 
 The objective is planned once per problem (:class:`_Plan`): the sphere's
 centre and radius, the bath form of the grid (trapezoid weights, kernel
-factor, buffers) and the leakage switch.  Each L-BFGS-B step then maps ``w``
+factor, buffers) and the leakage switch.  Each evaluation then maps ``w``
 to the objective and its gradient over the start's reference value in one
 pass: the phases are built once and shared by the bath and leakage terms.
 The solver's path is chaotic in the last bit of the objective, so the plan
@@ -48,7 +49,6 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bath import BathModel
 from .fidelity import InfidelityBreakdown, _BathForm
@@ -58,16 +58,17 @@ from .pulse import HALF_PI, EnergyBudget, Pulse, pulse_energy
 
 # The start templates of every design, in the order that breaks ties between equal optima.
 _STARTS = ("ramp", "markovian")
-# L-BFGS-B's gtol on the objective scaled by the start's bath infidelity,
-# without and with the leakage term, and its iteration cap per start.
+# The solver's gtol on the objective scaled by the start's bath infidelity,
+# without and with the leakage term, and its iteration cap per start (it also
+# stops at 3 * _MAX_ITER objective evaluations).
 _GTOL = 1e-9
 _GTOL_LEAKAGE = 3e-8
 _MAX_ITER = 2000
 # A solve converged when its projected gradient is at most this many times
 # gtol; solves of the acceptance, sweep and leakage problems end at <= 62x.
 _CONVERGED_GTOL_FACTOR = 1e3
-# Largest design grid, the corrector's bound: at 2**20 segments L-BFGS-B's 30
-# correction pairs alone take about 0.5 GB.
+# Largest design grid, the corrector's bound: at 2**20 segments the solver's
+# 30 (s, y) pairs alone take about 0.5 GB.
 _MAX_GRID_N = 2 ** 20
 
 
@@ -239,6 +240,158 @@ def _result(plan: _Plan, phi: np.ndarray, label: str, iterations: int, converged
     )
 
 
+@dataclass(frozen=True)
+class _Solve:
+    """The end of one :func:`minimize` run.
+
+    The last iterate and its gradient, the accepted steps, every objective
+    call (the first one included) and the stop rule that fired.
+    """
+
+    x: np.ndarray
+    jac: np.ndarray
+    nit: int
+    nfev: int
+    message: str
+
+
+def _cubic_min(a0, f0, d0, a1, f1, d1):
+    """Minimiser of the cubic through two values and slopes (Nocedal & Wright eq. 3.59), or nan.
+
+    Takes Python floats, whose inf and nan arithmetic raises no warning.
+    """
+    e1 = d0 + d1 - 3.0 * (f0 - f1) / (a0 - a1)
+    disc = e1 * e1 - d0 * d1
+    if not disc >= 0.0:
+        return math.nan
+    e2 = math.copysign(math.sqrt(disc), a1 - a0)
+    den = d1 - d0 + 2.0 * e2
+    return a1 - (a1 - a0) * (d1 + e2 - e1) / den if den else math.nan
+
+
+def _line_search(fun, x, f0, g0, d):
+    """A step along ``d`` from ``a = 1`` meeting the strong Wolfe conditions.
+
+    L-BFGS-B's constants ``c1 = 1e-3`` and ``c2 = 0.9``, and at most 20
+    trials: bracketing, then cubic zoom (Nocedal & Wright, algorithms 3.5
+    and 3.6), each trial kept 1% of the bracket inside its ends.  It gives
+    up early when no step in the bracket can lower ``f`` by more than one
+    rounding of ``f0``.  Returns ``(x, f, g)`` at the step, or None, and the
+    number of trials.
+    """
+    c1, c2 = 1e-3, 0.9
+    f0, dg0 = float(f0), float(g0.dot(d))
+    if not dg0 < 0.0:
+        return None, 0
+    floor = np.finfo(float).eps * abs(f0)
+    lo, hi = (0.0, f0, dg0), None  # (a, f, slope): lo is the best step with sufficient decrease
+    a = 1.0
+    for trial in range(1, 21):
+        xa = x + a * d
+        fa, ga = fun(xa)
+        fa = float(fa)
+        dga = float(ga.dot(d)) if math.isfinite(fa) else math.nan
+        if not fa <= f0 + c1 * a * dg0 or (trial > 1 and fa >= lo[1]):
+            hi = (a, fa, dga)
+        elif abs(dga) <= -c2 * dg0:
+            return (xa, fa, ga), trial
+        else:
+            if (dga >= 0.0) if hi is None else (dga * (hi[0] - lo[0]) >= 0.0):
+                hi = lo
+            prev, lo = lo, (a, fa, dga)
+        if hi is None:
+            # Extrapolate: the cubic's minimiser within [1.1, 4] widths past a.
+            width = a - prev[0]
+            t = _cubic_min(*prev, *lo)
+            a = a + 4.0 * width if math.isnan(t) else min(max(t, a + 1.1 * width), a + 4.0 * width)
+            continue
+        if -dg0 * max(lo[0], hi[0]) <= floor:
+            break
+        width = hi[0] - lo[0]
+        r = (_cubic_min(*lo, *hi) - lo[0]) / width
+        a = lo[0] + (0.5 if math.isnan(r) else min(max(r, 0.01), 0.99)) * width
+        if not min(lo[0], hi[0]) < a < max(lo[0], hi[0]):
+            break  # the bracket is too narrow to split
+    return None, trial
+
+
+def minimize(fun, x0, gtol, maxiter=_MAX_ITER):
+    """Minimise ``fun`` (value and gradient) from ``x0`` by limited-memory BFGS.
+
+    The inverse Hessian is the compact form of Byrd, Nocedal & Schnabel
+    (Math. Prog. 63, 1994) on the last 30 pairs ``(s, y)``, with ``H0 =
+    (s'y / y'y) I``, and ``I / |g|`` before the first pair.  The pairs sit in
+    ring slots, and the inverse of ``R`` (``R_ij = s_i'y_j`` for ``i <= j``
+    in time order) is kept in slot order: appending a pair adds one column,
+    and dropping the oldest zeroes its row, since the trailing block of a
+    triangular inverse is the inverse of the trailing block.  A pair with
+    ``s'y <= eps y'y`` is skipped.  When the line search fails, the memory
+    is dropped and the step retried once along ``-g``.  Stops at ``max|g| <=
+    gtol``, at a decrease of at most ``1e-16 max(|f|, 1)``, after ``maxiter``
+    steps or ``3 maxiter`` evaluations, or when the line search fails
+    without memory.
+    """
+    m, n = 30, x0.size
+    pairs = np.zeros((m, 2, n))  # slot j holds s_j and y_j, so the used slots are one (2k, n) matrix
+    rinv, yty, sty = np.zeros((m, m)), np.zeros((m, m)), np.zeros(m)
+    x = x0
+    f, g = fun(x)
+    nit, nfev, stored = 0, 1, 0
+    if np.abs(g).max() <= gtol:
+        return _Solve(x, g, nit, nfev, "max|g| <= gtol")
+    gamma = 1.0 / math.sqrt(g.dot(g))
+    while True:
+        k = min(stored, m)
+        d = g * -gamma
+        if k:
+            v = pairs[:k].reshape(2 * k, n)
+            pq = v @ g
+            ri = rinv[:k, :k]
+            a = ri @ pq[0::2]
+            b = ri.T @ (sty[:k] * a + gamma * (yty[:k, :k] @ a - pq[1::2]))
+            coef = np.empty(2 * k)
+            coef[0::2] = b
+            coef[1::2] = -gamma * a
+            d -= v.T @ coef
+        step, trials = _line_search(fun, x, f, g, d)
+        nfev += trials
+        if step is None:
+            if k == 0:
+                message = "line search failed"
+                break
+            stored = 0
+            continue
+        nit += 1
+        x_new, f_new, g_new = step
+        s, y = x_new - x, g_new - g
+        f_old, x, f, g = f, x_new, f_new, g_new
+        if np.abs(g).max() <= gtol:
+            message = "max|g| <= gtol"
+            break
+        if f_old - f <= 1e-16 * max(abs(f_old), abs(f), 1.0):
+            message = "relative decrease <= ftol"
+            break
+        if nit >= maxiter or nfev >= 3 * maxiter:
+            message = "iteration limit" if nit >= maxiter else "evaluation limit"
+            break
+        sy, yy = s.dot(y), y.dot(y)
+        if sy <= np.finfo(float).eps * yy:
+            continue
+        j = stored % m
+        stored += 1
+        k = min(stored, m)
+        pairs[j, 0] = s
+        pairs[j, 1] = y
+        rinv[j, :] = 0.0  # column j is zero already: rows fill in time order
+        col = pairs[:k].reshape(2 * k, n) @ y
+        rinv[:k, j] = rinv[:k, :k] @ col[0::2] / -sy
+        rinv[j, j] = 1.0 / sy
+        yty[:k, j] = yty[j, :k] = col[1::2]
+        sty[j] = sy
+        gamma = sy / yy
+    return _Solve(x, g, nit, nfev, message)
+
+
 def _solve_from(plan: _Plan, phi0: np.ndarray, label: str) -> OptimizationResult:
     prob = plan.prob
     x0 = plan.start(phi0)
@@ -249,15 +402,9 @@ def _solve_from(plan: _Plan, phi0: np.ndarray, label: str) -> OptimizationResult
     bath0 = j0 - prob.leak_weight * pop0
     j_ref = max(bath0 if bath0 > 0.0 else abs(j0), 1e-12)
     gtol = _GTOL_LEAKAGE if plan.leakage else _GTOL
-    res = minimize(
-        plan.scaled(j_ref),
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": _MAX_ITER, "maxfun": 3 * _MAX_ITER, "ftol": 1e-16, "gtol": gtol, "maxcor": 30},
-    )
+    res = minimize(plan.scaled(j_ref), x0, gtol)
     phi, _, norm = plan.phases(res.x)
-    # L-BFGS-B also stops (on ftol, or in its line search) at optima whose
+    # The solver also stops (on ftol, or in its line search) at optima whose
     # gradient rounding keeps just above gtol, so the gradient itself decides:
     # its largest entry on the unit sphere, max|jac| |P w|.
     converged = float(np.max(np.abs(res.jac))) * norm <= _CONVERGED_GTOL_FACTOR * gtol

@@ -470,7 +470,7 @@ def test_kernel_normalisation_flag_rejected(capsys, command):
     assert "unrecognized arguments: --corr-norm 1.0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate", "scipy.optimize"])
 def test_import_does_not_load_scipy_module(module):
     # Each takes a large share of a cold import; no code path needs it.
     src = os.path.dirname(os.path.dirname(xo.__file__))

@@ -28,7 +28,7 @@ class TestProblemValidation:
             small_problem(t_f=0.9)
 
     def test_grid_n_bounded(self):
-        # The corrector's bound: at 2**20 segments L-BFGS-B's history alone takes about 0.5 GB.
+        # The corrector's bound: at 2**20 segments the solver's 30 (s, y) pairs alone take about 0.5 GB.
         assert small_problem(n=2 ** 20).grid_n == 2 ** 20
         for n in (1, 2 ** 20 + 1):
             with pytest.raises(ValueError, match=r"^grid_n must lie in \[2, 1048576\]"):
@@ -146,7 +146,7 @@ class TestSphere:
 class TestEvaluationIsBitwise:
     """The solver's function against the objective written out from public parts.
 
-    L-BFGS-B's path is chaotic in the last bit of the objective, so the
+    The solver's path is chaotic in the last bit of the objective, so the
     designs stay the same only while every evaluation does: this pins the
     plan's evaluation to the documented sphere map, the reverse-cumsum chain
     rule and the public value-gradient functions, bit for bit.
@@ -197,6 +197,156 @@ class TestEvaluationIsBitwise:
             assert val == want_val
             assert grad.dtype == want_grad.dtype
             np.testing.assert_array_equal(grad.view(np.uint64), want_grad.view(np.uint64))
+
+
+class Recorder:
+    """The objective, recording every call's point, value and gradient."""
+
+    def __init__(self, fun):
+        self.fun = fun
+        self.calls = []
+
+    def __call__(self, x):
+        f, g = self.fun(x)
+        self.calls.append((x.copy(), f, g.copy()))
+        return f, g
+
+
+def rosenbrock(x):
+    a, b = x
+    value = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+    return value, np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)])
+
+
+def leakage_like_quadratic(n=50, seed=3):
+    """``1 + (x - x*)' A (x - x*) / 2`` with the leakage design's Hessian spread, condition number 1.5e4."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = (q * np.geomspace(7.14e-4, 10.7, n)) @ q.T
+    x_star = rng.normal(size=n)
+
+    def fun(x):
+        g = a @ (x - x_star)
+        return 1.0 + 0.5 * (x - x_star) @ g, g
+
+    return fun, x_star + rng.normal(size=n) / np.sqrt(n)
+
+
+class TestMinimize:
+    """The design solver on problems with known answers, and its contract with its callers."""
+
+    def test_quadratic_reaches_gtol(self):
+        fun, x0 = leakage_like_quadratic()
+        res = optimizer.minimize(fun, x0, optimizer._GTOL_LEAKAGE)
+        assert res.message == "max|g| <= gtol"
+        assert np.max(np.abs(res.jac)) <= optimizer._GTOL_LEAKAGE
+        # A wrong inverse-Hessian product still descends, but takes about three times the steps.
+        ref = TestMatchesScipy.scipy_lbfgsb(fun, x0, optimizer._GTOL_LEAKAGE)
+        assert res.nit <= 1.1 * ref.nit
+
+    def test_rosenbrock_reaches_the_minimiser(self):
+        res = optimizer.minimize(rosenbrock, np.array([-1.2, 1.0]), 1e-9)
+        assert np.max(np.abs(res.x - 1.0)) <= 1e-6
+
+    @pytest.mark.parametrize("problem", ["rosenbrock", "design"])
+    def test_every_accepted_step_meets_the_strong_wolfe_conditions(self, problem):
+        if problem == "rosenbrock":
+            fun, x0, gtol = rosenbrock, np.array([-1.2, 1.0]), 1e-9
+        else:
+            prob = small_problem(t_c=1.0, t_f=3.0, n=64, omega0=np.pi)
+            plan = _Plan(prob)
+            fun, x0, gtol = plan.scaled(1e-2), plan.start(optimizer._template_phases("ramp", prob)), 3e-8
+        record = Recorder(fun)
+        nit = optimizer.minimize(record, x0, gtol).nit
+        evaluated = {x.tobytes(): (f, g) for x, f, g in record.calls}
+        # A run capped at k steps ends at the k-th iterate of the full run: one of its evaluated points.
+        iterates = [x0] + [optimizer.minimize(fun, x0, gtol, maxiter=k).x for k in range(1, nit + 1)]
+        assert nit > 5
+        for x, x_next in zip(iterates[:-1], iterates[1:]):
+            (f, g), (f_next, g_next) = evaluated[x.tobytes()], evaluated[x_next.tobytes()]
+            s = x_next - x
+            assert f_next <= f + 1e-3 * (g @ s)
+            assert abs(g_next @ s) <= 0.9 * abs(g @ s)
+
+    def test_counters_and_first_step(self):
+        fun, x0 = leakage_like_quadratic()
+        record = Recorder(fun)
+        res = optimizer.minimize(record, x0, optimizer._GTOL_LEAKAGE)
+        assert res.nfev == len(record.calls)
+        assert res.nit < res.nfev
+        np.testing.assert_array_equal(record.calls[0][0], x0)
+        # The first trial moves a unit distance down the gradient.
+        g0 = record.calls[0][2]
+        np.testing.assert_allclose(record.calls[1][0], x0 - g0 / np.linalg.norm(g0), rtol=1e-15, atol=1e-15)
+
+    def test_maxiter_stops_after_one_step(self):
+        fun, x0 = leakage_like_quadratic()
+        res = optimizer.minimize(fun, x0, optimizer._GTOL_LEAKAGE, maxiter=1)
+        assert res.nit == 1
+        assert res.message == "iteration limit"
+
+    def test_infinite_values_end_on_the_line_search_rule(self):
+        # Finite at x0 and at the first step only: the second line search
+        # fails, and so does its retry along -g without memory.
+        center = np.ones(3)
+
+        def fun(x):
+            if len(record.calls) >= 2:
+                return np.inf, np.full(3, np.inf)
+            return 0.5 * (x - center) @ (x - center), x - center
+
+        record = Recorder(fun)
+        res = optimizer.minimize(record, np.zeros(3), 1e-9)
+        assert res.message == "line search failed"
+        assert res.nit == 1
+        np.testing.assert_array_equal(res.x, record.calls[1][0])
+        assert res.nfev == len(record.calls) == 2 + 2 * 20
+
+    def test_recovers_from_a_failed_line_search(self):
+        # Twenty infinite values in a row, with all 30 pairs stored, fail one
+        # line search; the solver drops its memory and still reaches gtol.
+        fun, x0 = leakage_like_quadratic()
+        undisturbed = optimizer.minimize(fun, x0, optimizer._GTOL_LEAKAGE)
+
+        def blocked(x):
+            if 100 < len(record.calls) <= 120:
+                return np.inf, np.full(x.size, np.inf)
+            return fun(x)
+
+        record = Recorder(blocked)
+        res = optimizer.minimize(record, x0, optimizer._GTOL_LEAKAGE)
+        assert res.message == "max|g| <= gtol"
+        assert res.nfev == len(record.calls)
+        assert res.nit <= 1.1 * undisturbed.nit
+
+
+class TestMatchesScipy:
+    """Each start's optimum against scipy's L-BFGS-B on the same scaled objective."""
+
+    @staticmethod
+    def scipy_lbfgsb(fun, x0, gtol):
+        from scipy.optimize import minimize
+
+        return minimize(fun, x0, jac=True, method="L-BFGS-B",
+                        options={"maxiter": 2000, "maxfun": 6000, "ftol": 1e-16, "gtol": gtol, "maxcor": 30})
+
+    @pytest.mark.parametrize("tf_over_tmin", [1.05, 2.0, 10.0])
+    @pytest.mark.parametrize("t_c", [0.0, 1.0, 10.0])
+    @pytest.mark.parametrize("leakage", [
+        pytest.param({}, id="rwa"),
+        pytest.param({"omega0": np.pi, "leak_weight": 0.5}, id="leakage"),
+    ])
+    def test_same_optimum_as_scipy(self, monkeypatch, leakage, t_c, tf_over_tmin):
+        prob = small_problem(t_c=t_c, t_f=tf_over_tmin * xo.EnergyBudget(ENERGY).t_min, n=256, **leakage)
+        assert t_c == 0.0 or prob.t_f / prob.grid_n <= t_c / 10
+        plan = _Plan(prob)
+        starts = [optimizer._template_phases(label, prob) for label in optimizer._STARTS]
+        ours = [optimizer._solve_from(plan, phi0, "") for phi0 in starts]
+        monkeypatch.setattr(optimizer, "minimize", self.scipy_lbfgsb)
+        theirs = [optimizer._solve_from(plan, phi0, "") for phi0 in starts]
+        for mine, ref in zip(ours, theirs):
+            assert mine.converged and ref.converged
+            assert mine.breakdown.total == pytest.approx(ref.breakdown.total, rel=1e-10)
 
 
 class TestDeterminism:
@@ -273,9 +423,9 @@ def test_overshoot_appears_for_long_memory():
     pytest.param({"omega0": np.pi, "leak_weight": 0.5}, id="leakage"),  # the criterion-08 problem
 ])
 def test_every_start_converges_to_one_optimum(leakage):
-    # L-BFGS-B ends some of these starts in its line search, at an optimum it
-    # cannot improve in floating point; the projected gradient still counts
-    # them as converged.
+    # The solver ends some of these starts on the decrease rule or in its line
+    # search, at an optimum it cannot improve in floating point; the projected
+    # gradient still counts them as converged.
     prob = small_problem(t_c=10.0, t_f=10.0, n=512, **leakage)
     plan = _Plan(prob)
     results = [optimizer._solve_from(plan, optimizer._template_phases(label, prob), label)
