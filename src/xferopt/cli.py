@@ -1,4 +1,4 @@
-"""Command-line front end: evaluate, optimize, sweep, markovian, leakage, oracle.
+"""Command-line front end: evaluate, optimize, sweep, markovian, oracle.
 
 Every parameter is a flag with one default and one type; where a dataclass
 (:class:`OptimizationProblem`, :class:`OracleConfig`) owns the default, the
@@ -24,9 +24,9 @@ import numpy as np
 from .bath import BathModel
 from .fidelity import bath_infidelity, infidelity_freq
 from .leakage import perturbative_leakage_amplitude, propagate_even
-from .markovian import solve_markovian_profile
+from .markovian import optimal_markovian_pulse, solve_markovian_profile
 from .montecarlo import OracleConfig, simulate_transfer
-from .optimizer import OptimizationProblem, optimize_rwa, optimize_with_leakage, sweep_final_time
+from .optimizer import OptimizationProblem, _check_grid_n, optimize_rwa, optimize_with_leakage, sweep_final_time
 from .pulse import EnergyBudget, PulseCsvError, pulse_energy, read_pulse_csv, write_pulse_csv
 
 
@@ -94,13 +94,18 @@ def _problem_opts(args) -> dict:
     return {"grid_n": args.grid_n, "omega0": _omega0_from(args), "leak_weight": args.leak_weight}
 
 
-def _add_problem_flags(sp):
-    _add_model_flags(sp)
-    sp.add_argument("--energy", type=float, required=True, help="control energy budget E")
-    sp.add_argument("--leak-weight", dest="leak_weight", type=float, default=OptimizationProblem.leak_weight,
-                    help="leakage penalty weight (default %(default)s)")
+def _add_design_flags(sp, energy_required=True):
+    """The energy budget and the pulse grid of a designed pulse."""
+    sp.add_argument("--energy", type=float, required=energy_required, help="control energy budget E")
     sp.add_argument("--grid-n", dest="grid_n", type=int, default=OptimizationProblem.grid_n,
                     help="pulse grid segments (default %(default)s)")
+
+
+def _add_problem_flags(sp):
+    _add_model_flags(sp)
+    _add_design_flags(sp)
+    sp.add_argument("--leak-weight", dest="leak_weight", type=float, default=OptimizationProblem.leak_weight,
+                    help="leakage penalty weight (default %(default)s)")
 
 
 def _check_writable(path: str) -> None:
@@ -167,37 +172,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_markovian(args) -> int:
+    if (args.out is None) != (args.energy is None):
+        raise ValueError("--out and --energy must be given together")
+    _check_grid_n(args.grid_n)
+    if args.out is not None:
+        budget = EnergyBudget(args.energy)
+        _check_writable(args.out)
     profile = solve_markovian_profile()
     print(f"e_M = {_fmt(profile.e_m)}")
     print(f"optimal_coefficient = {_fmt(profile.e_m ** 2)}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("x,phi,dphi\n")
-            for x, phi, dphi in zip(profile.x_grid, profile.phi, profile.dphi):
-                fh.write(f"{_fmt(x)},{_fmt(phi)},{_fmt(dphi)}\n")
-        print(f"profile_file = {args.out}")
-    return 0
-
-
-def cmd_leakage(args) -> int:
-    pulse = read_pulse_csv(args.pulse)
-    omega0 = _omega0_from(args)
-    if args.out:
-        state, traj = propagate_even(pulse, omega0, return_trajectory=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("t,re_gg,im_gg,re_ee,im_ee,p_ee\n")
-            for t, (gg, ee) in zip(pulse.times, traj):
-                fh.write(
-                    f"{_fmt(t)},{_fmt(gg.real)},{_fmt(gg.imag)},{_fmt(ee.real)},"
-                    f"{_fmt(ee.imag)},{_fmt(abs(ee) ** 2)}\n"
-                )
-    else:
-        state = propagate_even(pulse, omega0)
-    pert = perturbative_leakage_amplitude(pulse, omega0)
-    print(f"p_ee = {_fmt(state.p_ee)}")
-    print(f"p_ee_perturbative = {_fmt(abs(pert) ** 2)}")
-    if args.out:
-        print(f"trajectory_file = {args.out}")
+    if args.out is not None:
+        write_pulse_csv(optimal_markovian_pulse(budget, args.grid_n), args.out)
+        print(f"pulse_file = {args.out}")
     return 0
 
 
@@ -246,15 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-dir", dest="out_dir", default=".")
     sp.set_defaults(func=cmd_sweep)
 
-    sp = add_parser("markovian", help="solve the memoryless optimal profile")
-    sp.add_argument("--out", default=None, help="profile CSV (x,phi,dphi)")
+    sp = add_parser("markovian", help="the memoryless optimal profile and, with --out, its pulse")
+    _add_design_flags(sp, energy_required=False)
+    sp.add_argument("--out", default=None, help="pulse CSV of the memoryless optimum at --energy")
     sp.set_defaults(func=cmd_markovian)
-
-    sp = add_parser("leakage", help="even-sector propagation of a pulse file")
-    sp.add_argument("--pulse", required=True)
-    sp.add_argument("--omega0", type=float, required=True)
-    sp.add_argument("--out", default=None, help="amplitude trajectory CSV")
-    sp.set_defaults(func=cmd_leakage)
 
     sp = add_parser("oracle", help="Monte-Carlo check of the predicted infidelity")
     sp.add_argument("--pulse", required=True)

@@ -9,13 +9,13 @@ coupled by the same control amplitude ``V(t)`` as the transfer:
 Propagation is exact per constant-amplitude segment (closed-form SU(2)
 rotations, :func:`segment_rotation`), so the leakage observable carries no
 time-step error.  The prefix products of the segment rotations come from one
-vectorised scan in ceil(log2 N) steps; :func:`propagate_even` reads states
-off them, and :func:`leakage_value_grad` combines them with the closed-form
-derivative of each rotation into the exact gradient of the final |ee>
-population, with the suffix products obtained by unitarity.  The
-first-order leakage amplitude is ``-i integral V(tau) e^{i 2 omega_0 tau}``
-in the interaction picture of the splitting (that phase convention; the
-magnitude is convention-free).
+vectorised scan in ceil(log2 N) steps; :func:`propagate_even` reads the
+final state off the last of them, and :func:`leakage_value_grad` combines
+them all with the closed-form derivative of each rotation into the exact
+gradient of the final |ee> population, with the suffix products obtained
+by unitarity.  The first-order leakage amplitude is
+``-i integral V(tau) e^{i 2 omega_0 tau}`` in the interaction picture of the
+splitting (that phase convention; the magnitude is convention-free).
 
 An off-resonant population left in |ee> can be returned by a weak resonant
 modulation ``V = A sin(2 omega_0 t + chi)``.  In the rotating frame of the
@@ -153,27 +153,20 @@ def _prefix_products(a: np.ndarray, b: np.ndarray):
     return alpha, beta
 
 
-def propagate_even(p: Pulse, omega0: float, initial=(1.0 + 0.0j, 0.0j), return_trajectory: bool = False):
+def propagate_even(p: Pulse, omega0: float, initial=(1.0 + 0.0j, 0.0j)) -> EvenState:
     """Exact piecewise propagation of the even-parity two-level system.
 
     Starts from ``initial = (amp_gg, amp_ee)`` (ground state by default) and
     applies the closed-form rotation of each constant-amplitude segment.
-    Unitarity is exact up to roundoff.  With ``return_trajectory`` the
-    amplitudes after every grid node are returned as an ``(N+1, 2)`` array.
+    Unitarity is exact up to roundoff.
     """
     if not 0.0 <= omega0 < np.inf:
         raise ValueError(f"omega0 must be finite and nonnegative, got {omega0}")
     alpha, beta = _prefix_products(*segment_rotation(p.amplitudes(), omega0, p.dt))
-    if return_trajectory:
-        alpha = np.concatenate(([1.0], alpha))
-        beta = np.concatenate(([0.0], beta))
-    else:
-        alpha, beta = alpha[-1], beta[-1]
+    alpha, beta = alpha[-1], beta[-1]
     g0, e0 = complex(initial[0]), complex(initial[1])
     gg, ee = alpha * g0 + beta * e0, np.conj(alpha) * e0 - np.conj(beta) * g0
-    if not return_trajectory:
-        return EvenState(amp_gg=complex(gg), amp_ee=complex(ee))
-    return EvenState(amp_gg=complex(gg[-1]), amp_ee=complex(ee[-1])), np.stack((gg, ee), axis=1)
+    return EvenState(amp_gg=complex(gg), amp_ee=complex(ee))
 
 
 def leakage_value_grad(phases, dt: float, omega0: float):

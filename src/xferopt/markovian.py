@@ -34,17 +34,8 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 # Past sqrt(2) x = 40 the profile phase rounds to pi/2; the cap keeps sinh finite.
 _SINH_ARG_CAP = 40.0
-# The tabulated profile: uniform in u = ln((pi/2) / eps) from eps = pi/2 down to eps = 1e-10.
-_EPS_END = 1e-10
-_N_INTERVALS = 4000
-_DU = math.log(HALF_PI / _EPS_END) / _N_INTERVALS
 # The rescaled pulses end where pi/2 - phi_M has decayed to this.
 _CUT_EPS = 1e-8
-
-
-def _slope_eps(eps):
-    """The profile slope at ``phi = pi/2 - eps``, written in ``eps``."""
-    return np.sqrt(0.5 * np.sin(2.0 * eps) ** 2 + (2.0 / 3.0) * np.sin(eps) ** 4)
 
 
 def _time_to(eps):
@@ -57,11 +48,8 @@ def _time_to(eps):
 
 @dataclass(frozen=True)
 class MarkovianProfile:
-    """Universal profile ``phi_M(x)`` tabulated on a grid, with its dimensionless energy."""
+    """Universal profile ``phi_M(x)`` in closed form, with its dimensionless energy."""
 
-    x_grid: np.ndarray
-    phi: np.ndarray
-    dphi: np.ndarray
     e_m: float
 
     def phase_at(self, x):
@@ -84,17 +72,8 @@ class MarkovianProfile:
 
 @cache
 def solve_markovian_profile() -> MarkovianProfile:
-    """The profile tabulated down to ``pi/2 - phi = 1e-10``, and its energy constant."""
-    eps = HALF_PI * np.exp(-np.arange(_N_INTERVALS + 1) * _DU)
-    x_grid = _time_to(eps)
-    x_grid[0] = 0.0  # tan of the rounded pi/2 is finite, about 1.6e16
-    phi = HALF_PI - eps
-    dphi = _slope_eps(eps)
-    e_m = 0.5 * (_SQRT2 + math.asinh(_SQRT2) / _SQRT3)
-
-    for arr in (x_grid, phi, dphi):
-        arr.setflags(write=False)
-    return MarkovianProfile(x_grid=x_grid, phi=phi, dphi=dphi, e_m=e_m)
+    """The closed-form profile and its energy constant."""
+    return MarkovianProfile(e_m=0.5 * (_SQRT2 + math.asinh(_SQRT2) / _SQRT3))
 
 
 def _rescaled_profile(budget: EnergyBudget, n: int, t_f: float = 0.0):

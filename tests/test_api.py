@@ -19,8 +19,8 @@ CLI_ROOT = ("cli", "console_main")
 
 # Public names that no CLI command reaches, each kept on purpose.
 ALLOWED_ROOTS = {
-    # The paper's reference pulses and its corrector.
-    "fastest_pulse", "optimal_markovian_pulse", "minimal_corrector_energy",
+    # The paper's reference pulse and its corrector.
+    "fastest_pulse", "minimal_corrector_energy",
     # Called only by bench/tracing.py's per-layer micro-suite; each goes once that moves.
     "infidelity_time",  # ROADMAP item 2
     "infidelity_markovian",  # ROADMAP item 2

@@ -77,6 +77,8 @@ class TestEvaluate:
         ])
         rep = json.loads(out)
         assert rep["leakage_population"] == pytest.approx(0.0263, abs=2e-3)
+        pert = xo.perturbative_leakage_amplitude(xo.read_pulse_csv(fast_pulse_file), np.pi)
+        assert rep["leakage_perturbative"] == abs(pert) ** 2
 
     def test_malformed_pulse_csv(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -259,16 +261,43 @@ class TestSweep:
 
 
 class TestMarkovianCmd:
-    def test_prints_profile_energy(self, capsys, tmp_path):
-        out_file = tmp_path / "profile.csv"
-        code, out, _ = run(capsys, ["markovian", "--out", str(out_file)])
+    def test_prints_profile_energy(self, capsys):
+        code, out, _ = run(capsys, ["markovian"])
         assert code == 0
-        e_m = float(out.splitlines()[0].split("=")[1])
+        lines = out.splitlines()
+        assert len(lines) == 2
+        e_m = float(lines[0].split("=")[1])
         assert e_m == pytest.approx(1.038, abs=1e-3)
-        coeff = float(out.splitlines()[1].split("=")[1])
+        coeff = float(lines[1].split("=")[1])
         assert coeff == pytest.approx(1.077, abs=2e-3)
-        header = out_file.read_text().splitlines()[0]
-        assert header == "x,phi,dphi"
+
+    def test_writes_the_optimal_pulse(self, capsys, tmp_path):
+        out_file = tmp_path / "m.csv"
+        code, out, _ = run(capsys, ["markovian", "--energy", str(ENERGY), "--grid-n", "256", "--out", str(out_file)])
+        assert code == 0
+        assert out.splitlines()[2] == f"pulse_file = {out_file}"
+        ref = tmp_path / "ref.csv"
+        xo.write_pulse_csv(xo.optimal_markovian_pulse(ENERGY, 256), ref)
+        assert out_file.read_bytes() == ref.read_bytes()
+        assert xo.read_pulse_csv(out_file).n_segments == 256
+        code, out, _ = run(capsys, ["evaluate", "--pulse", str(out_file), "--gamma", str(GAMMA), "--json"])
+        assert code == 0
+        assert json.loads(out)["energy"] == pytest.approx(ENERGY, rel=1e-3)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--out", "m.csv"], "--out and --energy"),
+        (["--energy", str(ENERGY)], "--out and --energy"),
+        (["--energy", str(ENERGY), "--grid-n", "1", "--out", "m.csv"], "grid_n must lie in [2, 1048576]"),
+        (["--energy", str(ENERGY), "--grid-n", "1048577", "--out", "m.csv"], "grid_n must lie in [2, 1048576]"),
+        (["--energy", str(ENERGY), "--out", os.path.join("missing", "m.csv")], "output path not writable"),
+    ], ids=["out without energy", "energy without out", "grid-n 1", "grid-n 2**20+1", "unwritable out"])
+    def test_rejected_before_any_output(self, capsys, tmp_path, monkeypatch, flags, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, ["markovian", *flags])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -276,9 +305,9 @@ class TestMarkovianCmd:
     (["optimize", "--t-f", "3", "--omega0", "nan"], "omega0"),
     (["optimize", "--t-f", "3", "--omega0", "3", "--leak-weight", "nan"], "leak_weight"),
     (["sweep", "--t-f-list", "2,nan"], "t_f"),
-    (["leakage", "--omega0", "nan"], "omega0"),
-    (["leakage", "--omega0", "inf"], "omega0"),
     (["evaluate", "--omega0", "nan"], "omega0"),
+    (["evaluate", "--omega0", "inf"], "omega0"),
+    (["markovian", "--energy", "nan"], "energy"),
     (["oracle", "--omega0", "nan"], "omega0"),
     (["oracle", "--seed", str(2 ** 64)], "seed"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
@@ -288,7 +317,7 @@ def test_non_finite_input_rejected_before_any_work(capsys, tmp_path, fast_pulse_
     flags = {
         "optimize": ["--gamma", str(GAMMA), "--energy", str(ENERGY), "--grid-n", "32", "--out", str(out_dir / "p.csv")],
         "sweep": ["--gamma", str(GAMMA), "--energy", str(ENERGY), "--grid-n", "32", "--out-dir", str(out_dir)],
-        "leakage": ["--pulse", fast_pulse_file, "--out", str(out_dir / "traj.csv")],
+        "markovian": ["--out", str(out_dir / "m.csv")],
         "evaluate": ["--pulse", fast_pulse_file, "--gamma", str(GAMMA)],
         "oracle": ["--pulse", fast_pulse_file, "--gamma", str(GAMMA), "--n-traj", "2"],
     }[argv[0]]
@@ -349,18 +378,6 @@ def test_resolved_memory_runs(capsys, tmp_path, fast_pulse_file, command):
     code, out, _ = run(capsys, [*argv, "--t-c", repr(10 * dt)])
     assert code == 0
     assert out != ""
-
-
-class TestLeakageCmd:
-    def test_reports_population(self, capsys, fast_pulse_file, tmp_path):
-        traj = tmp_path / "traj.csv"
-        code, out, _ = run(capsys, [
-            "leakage", "--pulse", fast_pulse_file, "--omega0", str(np.pi), "--out", str(traj),
-        ])
-        assert code == 0
-        p_ee = float(out.splitlines()[0].split("=")[1])
-        assert p_ee == pytest.approx(0.0263, abs=2e-3)
-        assert traj.read_text().splitlines()[0] == "t,re_gg,im_gg,re_ee,im_ee,p_ee"
 
 
 class TestOracleCmd:
