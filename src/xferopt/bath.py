@@ -26,7 +26,9 @@ On a uniform grid of spacing ``dt`` the kernel samples are
 
 since ``L^{-1}`` holds ``rho^(j-k)`` on and below the diagonal.  A kernel
 product is therefore two banded triangular solves, O(N) and without a
-kernel table, with one :class:`_ExpFactor` built once per grid.  The
+kernel table, with one :class:`_ExpFactor` built once per grid.  The solves
+are LAPACK's ``dtbtrs``, imported from ``scipy.linalg`` when a factor is
+built, so a memoryless bath (``t_c = 0``) runs on numpy alone.  The
 stationary Ornstein-Uhlenbeck samples obey the same recursion,
 ``b = L^{-1} d`` with ``d_0 = sigma xi_0`` and
 ``d_k = sigma sqrt(1 - rho^2) xi_k``: the oracle's time-major
@@ -43,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 # Byte budget of sample_noise_block's trajectory-major scratch tile: 256
 # trajectories at 512 steps, one at least.
@@ -77,11 +78,17 @@ class _ExpFactor:
     """The factor ``L = I - rho S`` of the exponential kernel on ``n`` samples of ``dt``.
 
     Holds ``rho = exp(-dt/t_c)``, the kernel's zero-lag value
-    ``c0 = gamma / (2 t_c)`` and the LAPACK band of ``L``, so a caller
-    that solves on one grid many times builds them once.  Requires ``t_c > 0``.
+    ``c0 = gamma / (2 t_c)``, the LAPACK band of ``L`` and its banded
+    solver, so a caller that solves on one grid many times builds them
+    once.  Requires ``t_c > 0``.
     """
 
     def __init__(self, b: BathModel, dt: float, n: int):
+        # Imported here, so that importing xferopt leaves scipy.linalg unloaded;
+        # kept on the instance, so that solve runs no import.
+        from scipy.linalg.lapack import dtbtrs
+
+        self._dtbtrs = dtbtrs
         self.rho = np.exp(-dt / b.t_c)
         self.c0 = 0.5 * b.gamma / b.t_c
         self._band = np.empty((2, n))
@@ -98,7 +105,7 @@ class _ExpFactor:
         """
         # Positional (uplo, trans, diag): keywords cost ~2 us per call in the
         # f2py wrapper, twice per optimiser step.
-        x, info = dtbtrs(self._band, rhs, "L", "T" if transpose else "N", "U")
+        x, info = self._dtbtrs(self._band, rhs, "L", "T" if transpose else "N", "U")
         if info != 0:
             raise RuntimeError(f"banded triangular solve failed: LAPACK dtbtrs info = {info}")
         return x

@@ -26,8 +26,8 @@ from .fidelity import bath_infidelity, infidelity_freq
 from .leakage import perturbative_leakage_amplitude, propagate_even
 from .markovian import optimal_markovian_pulse, solve_markovian_profile
 from .montecarlo import OracleConfig, simulate_transfer
-from .optimizer import OptimizationProblem, _check_grid_n, optimize_rwa, optimize_with_leakage, sweep_final_time
-from .pulse import EnergyBudget, PulseCsvError, pulse_energy, read_pulse_csv, write_pulse_csv
+from .optimizer import OptimizationProblem, optimize_rwa, optimize_with_leakage, sweep_final_time
+from .pulse import EnergyBudget, PulseCsvError, _check_grid_n, pulse_energy, read_pulse_csv, write_pulse_csv
 
 
 def _bath_from(args) -> BathModel:

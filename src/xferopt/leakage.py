@@ -156,15 +156,17 @@ def _prefix_products(a: np.ndarray, b: np.ndarray):
 def propagate_even(p: Pulse, omega0: float, initial=(1.0 + 0.0j, 0.0j)) -> EvenState:
     """Exact piecewise propagation of the even-parity two-level system.
 
-    Starts from ``initial = (amp_gg, amp_ee)`` (ground state by default) and
-    applies the closed-form rotation of each constant-amplitude segment.
-    Unitarity is exact up to roundoff.
+    Starts from ``initial = (amp_gg, amp_ee)`` (ground state by default),
+    whose amplitudes must be finite, and applies the closed-form rotation of
+    each constant-amplitude segment.  Unitarity is exact up to roundoff.
     """
     if not 0.0 <= omega0 < np.inf:
         raise ValueError(f"omega0 must be finite and nonnegative, got {omega0}")
+    g0, e0 = complex(initial[0]), complex(initial[1])
+    if not np.isfinite([g0, e0]).all():
+        raise ValueError(f"initial must be finite, got {initial!r}")
     alpha, beta = _prefix_products(*segment_rotation(p.amplitudes(), omega0, p.dt))
     alpha, beta = alpha[-1], beta[-1]
-    g0, e0 = complex(initial[0]), complex(initial[1])
     gg, ee = alpha * g0 + beta * e0, np.conj(alpha) * e0 - np.conj(beta) * g0
     return EvenState(amp_gg=complex(gg), amp_ee=complex(ee))
 

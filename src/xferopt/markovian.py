@@ -28,7 +28,7 @@ from functools import cache
 
 import numpy as np
 
-from .pulse import HALF_PI, EnergyBudget, Pulse, _as_budget
+from .pulse import HALF_PI, EnergyBudget, Pulse, _as_budget, _check_grid_n
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -94,11 +94,11 @@ def optimal_markovian_pulse(budget, n: int = 512) -> Pulse:
 
     The pulse is truncated where ``pi/2 - phi < 1e-8`` and capped to exactly
     ``pi/2`` at the final sample; its sampled energy matches the budget to
-    within 0.1 percent.
+    within 0.1 percent.  ``n``, the number of segments, is an integer in
+    ``[2, 2**20]`` (numpy integers will do).
     """
     budget = _as_budget(budget)
-    if n < 2:
-        raise ValueError(f"grid size must be at least 2 segments, got {n}")
+    _check_grid_n(n, "n")
     t_f, phases = _rescaled_profile(budget, n)
     phases[-1] = HALF_PI
     return Pulse(t_f=t_f, phases=phases)

@@ -30,14 +30,17 @@ do not depend on the chunk width.  Each chunk draws its noise as
 one time-major ``(steps, count)`` block
 (:func:`xferopt.bath.sample_noise_block`) into a buffer shared by all
 chunks, and hands it to the propagator, which runs on whatever paths it is
-given.  The step loop reads the block 8 rows at a time, gets those steps'
-rotations of all trajectories from one
-:func:`xferopt.leakage.segment_rotation` call (one more for a driven even
-sector) and updates the amplitudes in preallocated buffers.  Under RWA the
-undriven even sector is the pure phase ``exp(i dt sum_k (omega0 + b_k))``,
-whose ``omega0`` part the frame correction cancels exactly, so the ground
-amplitude is ``exp(i dt sum_k b_k)``, computed once from the running noise
-sum.  Every operation acts on each
+given.  The step loop reads the block 8 rows at a time and writes those
+steps' rotations ``[[a, b], [b, conj(a)]]`` of all trajectories into
+buffers both sectors share: one :func:`xferopt.leakage.segment_rotation`
+call (one more for a driven even sector) fills ``a`` and ``b``, and one
+conjugate ``conj(a)``.  A sector's amplitudes are one ``(2, count)`` pair,
+and each step updates it with three ufunc calls into a spare pair, which
+then swaps roles with it.  Under RWA the undriven even sector is the pure
+phase ``exp(i dt sum_k (omega0 + b_k))``, whose ``omega0`` part the frame
+correction cancels exactly, so the ground amplitude is
+``exp(i dt sum_k b_k)``, with each path's noise summed once, after the
+loop, row by row.  Every operation acts on each
 trajectory alone, so a trajectory's fidelity does not depend on the chunk
 it falls in.
 """
@@ -120,77 +123,60 @@ def _resolve_steps(p: Pulse, b: BathModel, omega0: float, rwa: bool):
     return per_segment, p.dt / per_segment
 
 
-class _SectorState:
-    """Amplitudes of one sector for a chunk of trajectories, advanced in place.
-
-    Two ``(2, count)`` buffers swap roles each step, so a step allocates
-    nothing; no product is written over one of its own inputs.
-    """
-
-    def __init__(self, count: int, start: int):
-        self.amp = np.zeros((2, count), dtype=complex)
-        self.amp[start] = 1.0
-        self._next = np.empty((2, count), dtype=complex)
-        self._term = np.empty(count, dtype=complex)
-        self._conj = np.empty(count, dtype=complex)
-        # The block's rotations, written by segment_rotation.
-        self._rot = np.empty((2, _BLOCK_STEPS, count), dtype=complex)
-
-    def advance(self, v: np.ndarray, w: np.ndarray, dt: float):
-        """Apply the rotation of each step ``k`` of the block in turn.
-
-        ``v`` is the ``(steps, 1)`` column of the block's drive amplitudes
-        and ``w`` the ``(steps, count)`` ``sz`` coefficients, one row per step.
-        """
-        n = w.shape[0]
-        a, b = segment_rotation(v, w, dt, out=(self._rot[0, :n], self._rot[1, :n]))
-        term, a_conj = self._term, self._conj
-        for a_k, b_k in zip(a, b):
-            x0, x1 = self.amp
-            y0, y1 = self._next
-            np.multiply(a_k, x0, out=y0)
-            np.multiply(b_k, x1, out=term)
-            y0 += term
-            np.multiply(b_k, x0, out=y1)
-            np.conjugate(a_k, out=a_conj)
-            np.multiply(a_conj, x1, out=term)
-            y1 += term
-            self.amp, self._next = self._next, self.amp
-
-
 def _propagate(noise: np.ndarray, v_steps: np.ndarray, dt: float, omega0: float, t_f: float, rwa: bool):
     """Ground (frame-corrected) and transferred amplitudes on the given noise paths.
 
     ``noise`` is a time-major ``(m, count)`` block, one path per column, and
-    ``v_steps`` the ``m`` drive amplitudes of the steps of ``dt``.
+    ``v_steps`` the ``m`` drive amplitudes of the steps of ``dt``.  A step
+    writes ``y = (a x0 + b x1, conj(a) x1 + b x0)`` into a spare pair, never
+    over its own input, which then swaps roles with ``x``; the sectors share
+    the spare pair and the block's rotation buffers.
     """
     m, count = noise.shape
+    pair = np.empty((_BLOCK_STEPS, 2, count), dtype=complex)
+    b = np.empty((_BLOCK_STEPS, count), dtype=complex)
+    term = np.empty((2, count), dtype=complex)
+
+    def advance(x, y, v, w):
+        """Apply the rotation of each step of the block to ``x``; returns it and the spare pair."""
+        n = len(w)
+        segment_rotation(v, w, dt, out=(pair[:n, 0], b[:n]))
+        np.conjugate(pair[:n, 0], out=pair[:n, 1])
+        for pair_k, b_k in zip(pair[:n], b[:n]):
+            np.multiply(pair_k, x, out=y)
+            np.multiply(b_k, x[::-1], out=term)
+            y += term
+            x, y = y, x
+        return x, y
+
     # Odd sector from |e1 g2>: want the transferred amplitude <g1 e2|psi>.
-    odd = _SectorState(count, 1)
-    # Even sector from |g1 g2>; under RWA only the noise sum enters its phase.
-    if rwa:
-        z_sum = np.zeros(count)
-    else:
-        even = _SectorState(count, 0)
+    odd = np.zeros((2, count), dtype=complex)
+    odd[1] = 1.0
+    spare = np.empty_like(odd)
+    if not rwa:
+        # Even sector from |g1 g2>; under RWA only the noise sum enters its phase.
+        even = np.zeros((2, count), dtype=complex)
+        even[0] = 1.0
         w_even = np.empty((_BLOCK_STEPS, count))
     for k0 in range(0, m, _BLOCK_STEPS):
-        k1 = min(k0 + _BLOCK_STEPS, m)
-        zb = noise[k0:k1]
-        vb = v_steps[k0:k1, None]
-        odd.advance(vb, zb, dt)
-        if rwa:
-            for zk in zb:
-                z_sum += zk
-        else:
-            even.advance(vb, np.add(zb, omega0, out=w_even[: k1 - k0]), dt)
-    v0, v1 = odd.amp
+        zb = noise[k0 : k0 + _BLOCK_STEPS]
+        n = len(zb)
+        vb = v_steps[k0 : k0 + n, None]
+        odd, spare = advance(odd, spare, vb, zb)
+        if not rwa:
+            even, spare = advance(even, spare, vb, np.add(zb, omega0, out=w_even[:n]))
+    v0, v1 = odd
 
     norm_odd = np.abs(v0) ** 2 + np.abs(v1) ** 2
     if np.max(np.abs(norm_odd - 1.0)) > NORM_TOL:
         raise RuntimeError("odd-sector norm drifted beyond tolerance")
     if rwa:
+        # Each path's noise summed row by row: a reduction over the rows of a
+        # block of two or more columns adds them in order, but numpy sums a
+        # lone column pairwise, so that one is accumulated instead.
+        z_sum = np.add.reduce(noise, axis=0) if count > 1 else np.add.accumulate(noise[:, 0])[-1:]
         return np.exp(1j * dt * z_sum), v0
-    u0, u1 = even.amp
+    u0, u1 = even
     norm_even = np.abs(u0) ** 2 + np.abs(u1) ** 2
     if np.max(np.abs(norm_even - 1.0)) > NORM_TOL:
         raise RuntimeError("even-sector norm drifted beyond tolerance")

@@ -45,7 +45,6 @@ the best start wins, with ties broken by that fixed order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,7 +53,7 @@ from .bath import BathModel
 from .fidelity import InfidelityBreakdown, _BathForm
 from .leakage import leakage_value_grad
 from .markovian import _rescaled_profile
-from .pulse import HALF_PI, EnergyBudget, Pulse, pulse_energy
+from .pulse import HALF_PI, EnergyBudget, Pulse, _check_grid_n, pulse_energy
 
 # The start templates of every design, in the order that breaks ties between equal optima.
 _STARTS = ("ramp", "markovian")
@@ -67,19 +66,8 @@ _MAX_ITER = 2000
 # A solve converged when its projected gradient is at most this many times
 # gtol; solves of the acceptance, sweep and leakage problems end at <= 62x.
 _CONVERGED_GTOL_FACTOR = 1e3
-# Largest design grid, the corrector's bound: at 2**20 segments the solver's
-# 30 (s, y) pairs alone take about 0.5 GB.
-_MAX_GRID_N = 2 ** 20
 # Machine epsilon of a float, read once: np.finfo costs about 0.65 us a call.
 _EPS = float(np.finfo(float).eps)
-
-
-def _check_grid_n(grid_n) -> None:
-    """Reject a grid size that is not an integer in ``[2, 2**20]``."""
-    if not isinstance(grid_n, numbers.Integral):
-        raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
-    if not 2 <= grid_n <= _MAX_GRID_N:
-        raise ValueError(f"grid_n must lie in [2, {_MAX_GRID_N}], got {grid_n}")
 
 
 @dataclass(frozen=True)

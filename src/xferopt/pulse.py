@@ -10,11 +10,15 @@ wrapped, so overshooting profiles (``phi > pi/2``) are representable.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 HALF_PI = np.pi / 2.0
+# Largest grid of a design or a constructed pulse, the corrector's bound: at
+# 2**20 segments the design solver's 30 (s, y) pairs alone take about 0.5 GB.
+_MAX_GRID_N = 2 ** 20
 
 
 class PulseCsvError(ValueError):
@@ -98,6 +102,14 @@ def make_pulse(phases, t_f: float) -> Pulse:
     return Pulse(t_f=float(t_f), phases=np.asarray(phases, dtype=float))
 
 
+def _check_grid_n(value, name: str = "grid_n") -> None:
+    """Reject a grid size ``name`` that is not an integer in ``[2, 2**20]``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not 2 <= value <= _MAX_GRID_N:
+        raise ValueError(f"{name} must lie in [2, {_MAX_GRID_N}], got {value}")
+
+
 def _as_budget(budget) -> EnergyBudget:
     if isinstance(budget, EnergyBudget):
         return budget
@@ -109,11 +121,11 @@ def fastest_pulse(budget, n: int = 512) -> Pulse:
 
     The ramp ``phi(t) = (2E/pi) t`` on ``[0, pi^2/(4E)]`` is the unique
     profile that reaches ``pi/2`` at the energy bound; its sampled energy
-    equals ``E`` to machine precision.
+    equals ``E`` to machine precision.  ``n``, the number of segments, is an
+    integer in ``[2, 2**20]`` (numpy integers will do).
     """
     budget = _as_budget(budget)
-    if n < 2:
-        raise ValueError(f"grid size must be at least 2 segments, got {n}")
+    _check_grid_n(n, "n")
     return Pulse(t_f=budget.t_min, phases=np.linspace(0.0, HALF_PI, n + 1))
 
 

@@ -487,14 +487,32 @@ def test_kernel_normalisation_flag_rejected(capsys, command):
     assert "unrecognized arguments: --corr-norm 1.0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.linalg"])
 def test_import_does_not_load_scipy_module(module):
-    # Each takes a large share of a cold import; no code path needs it.
+    # Each takes a large share of a cold import; no import-time code needs
+    # it (scipy.linalg loads with the first kernel of a bath with memory).
     src = os.path.dirname(os.path.dirname(xo.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = f"import sys, xferopt; print({module!r} in sys.modules)"
+    code = f"import sys, xferopt, xferopt.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", [
+    ["markovian"],
+    ["evaluate", "--gamma", str(GAMMA), "--t-c", "0"],
+], ids=lambda v: v[0])
+def test_memoryless_commands_do_not_load_scipy_linalg(fast_pulse_file, command):
+    # Only a bath with memory (t_c > 0) builds the banded kernel factor.
+    if command[0] == "evaluate":
+        command = [*command, "--pulse", fast_pulse_file]
+    src = os.path.dirname(os.path.dirname(xo.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys; from xferopt.cli import main; code = main(sys.argv[1:]); "
+            "print('scipy.linalg' in sys.modules); sys.exit(code)")
+    out = subprocess.run([sys.executable, "-c", code, *command], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("module", ["xferopt", "xferopt.cli"])

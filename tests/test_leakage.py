@@ -170,6 +170,11 @@ class TestPropagateEven:
             with pytest.raises(ValueError, match="omega0 must be finite and nonnegative"):
                 xo.propagate_even(xo.fastest_pulse(budget, 16), omega0)
 
+    @pytest.mark.parametrize("initial", [(np.nan, 0.0), (1.0, complex(0.0, np.inf)), (-np.inf, 0.0)])
+    def test_non_finite_initial_rejected(self, budget, initial):
+        with pytest.raises(ValueError, match=r"^initial must be finite, got "):
+            xo.propagate_even(xo.fastest_pulse(budget, 16), 1.0, initial=initial)
+
     def test_no_drive_no_leakage(self):
         p = xo.make_pulse(np.zeros(17), 2.0)
         state = xo.propagate_even(p, omega0=3.0)

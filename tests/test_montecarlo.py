@@ -7,6 +7,7 @@ from scipy.linalg import expm
 import xferopt as xo
 from xferopt import montecarlo
 from xferopt.bath import _ExpFactor, sample_noise_block
+from xferopt.leakage import segment_rotation
 from xferopt.montecarlo import _propagate, _resolve_steps
 from conftest import ENERGY, overshoot_pulse, random_pulse
 
@@ -410,6 +411,56 @@ class TestSectorsAgainstExplicitProducts:
             amp_ground = np.exp(-1j * self.OMEGA0 * p.t_f) * u[0]
             want = six_state_fidelity(amp_ground, self.transferred(v_steps, noise[:, j], dt))
             assert f[j] == pytest.approx(want, abs=1e-12)
+
+
+class TestStepsWrittenOut:
+    """The propagator, bit for bit, against its steps written out one at a time.
+
+    Each step takes its rotation ``(a, b)`` from ``segment_rotation`` of one
+    noise row and updates ``y0 = a x0 + b x1``, ``y1 = b x0 + conj(a) x1``;
+    the RWA ground phase sums the rows in order from zeros.  The 1e-12
+    comparisons above cannot see a changed order of operations; these can.
+    37 steps end in a partial block, and one trajectory is a lone column,
+    which a numpy reduction would sum pairwise.
+    """
+
+    OMEGA0 = 3.0
+
+    @staticmethod
+    def stepped(v_steps, w, dt, start):
+        x = np.zeros((2, w.shape[1]), dtype=complex)
+        x[start] = 1.0
+        for v_k, w_k in zip(v_steps, w):
+            a, b = segment_rotation(v_k, w_k, dt)
+            x = np.array([a * x[0] + b * x[1], b * x[0] + np.conj(a) * x[1]])
+        return x
+
+    def setup_problem(self, t_c, count):
+        p = random_pulse(np.random.default_rng(count), 37, 1.9, complete=True, scale=0.3)
+        b = xo.BathModel(gamma=0.05, t_c=t_c)
+        v_steps = p.amplitudes()
+        assert v_steps.size % montecarlo._BLOCK_STEPS != 0
+        return p, v_steps, sample_noise_block(b, p.dt, v_steps.size, 9, 0, count)
+
+    @pytest.mark.parametrize("count", [1, 13])
+    @pytest.mark.parametrize("t_c", [1.0, 0.0])
+    def test_rwa(self, t_c, count):
+        p, v_steps, noise = self.setup_problem(t_c, count)
+        ground, transfer = _propagate(noise, v_steps, p.dt, self.OMEGA0, p.t_f, True)
+        z_sum = np.zeros(count)
+        for z_k in noise:
+            z_sum += z_k
+        assert np.array_equal(ground, np.exp(1j * p.dt * z_sum))
+        assert np.array_equal(transfer, self.stepped(v_steps, noise, p.dt, 1)[0])
+
+    @pytest.mark.parametrize("count", [1, 13])
+    @pytest.mark.parametrize("t_c", [1.0, 0.0])
+    def test_driven_even_sector(self, t_c, count):
+        p, v_steps, noise = self.setup_problem(t_c, count)
+        ground, transfer = _propagate(noise, v_steps, p.dt, self.OMEGA0, p.t_f, False)
+        even = self.stepped(v_steps, noise + self.OMEGA0, p.dt, 0)
+        assert np.array_equal(ground, np.exp(-1j * self.OMEGA0 * p.t_f) * even[0])
+        assert np.array_equal(transfer, self.stepped(v_steps, noise, p.dt, 1)[0])
 
 
 class TestSectorsOnRaggedBlocks(TestSectorsAgainstExplicitProducts):

@@ -91,6 +91,24 @@ class TestControlAmplitude:
         np.testing.assert_allclose(rebuilt, p.phases, atol=1e-12)
 
 
+@pytest.mark.parametrize("make", [xo.fastest_pulse, xo.optimal_markovian_pulse])
+class TestSegmentCount:
+    """The pulse constructors take the design grids' rule for ``n``: an integer in [2, 2**20]."""
+
+    @pytest.mark.parametrize("n, message", [
+        (2.5, r"^n must be an integer, got 2\.5$"),
+        (1, r"^n must lie in \[2, 1048576\], got 1$"),
+        (2 ** 20 + 1, r"^n must lie in \[2, 1048576\], got 1048577$"),
+    ])
+    def test_rejected_before_sampling(self, make, n, message):
+        with pytest.raises(ValueError, match=message):
+            make(ENERGY, n)
+
+    def test_numpy_integer_accepted(self, make):
+        p, want = make(ENERGY, np.int64(64)), make(ENERGY, 64)
+        assert p.t_f == want.t_f and np.array_equal(p.phases, want.phases)
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda p: xo.minimal_corrector_energy(1.0, 0.1, np.nan), "available_time"),
     (lambda p: xo.minimal_corrector_energy(np.nan, 0.1, 1.0), "omega0"),
