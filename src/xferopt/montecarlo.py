@@ -171,10 +171,10 @@ def _propagate(noise: np.ndarray, v_steps: np.ndarray, dt: float, omega0: float,
     if np.max(np.abs(norm_odd - 1.0)) > NORM_TOL:
         raise RuntimeError("odd-sector norm drifted beyond tolerance")
     if rwa:
-        # Each path's noise summed row by row: a reduction over the rows of a
-        # block of two or more columns adds them in order, but numpy sums a
-        # lone column pairwise, so that one is accumulated instead.
-        z_sum = np.add.reduce(noise, axis=0) if count > 1 else np.add.accumulate(noise[:, 0])[-1:]
+        # Each path's noise summed row by row, in step order at any width.
+        z_sum = np.zeros(count)
+        for z_k in noise:
+            z_sum += z_k
         return np.exp(1j * dt * z_sum), v0
     u0, u1 = even
     norm_even = np.abs(u0) ** 2 + np.abs(u1) ** 2
